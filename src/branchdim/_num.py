@@ -1,10 +1,11 @@
 """Small numeric helpers: exact rational conversion and deterministic formatting.
 
-The toolkit does all structural arithmetic (breakpoints, dyadic endpoints,
-piecewise-linear evaluation) in :class:`fractions.Fraction` so that equality
-tests and tolerance-zero checks are meaningful.  Floats are accepted at the
-API boundary and converted exactly; they re-enter only in reports and CSV
-output.
+The toolkit does its curve arithmetic (breakpoints, piecewise-linear
+evaluation) in :class:`fractions.Fraction` so that equality tests and
+tolerance-zero checks are meaningful.  Interval geometry stays as integer
+numerators over ``2^scale`` from construction to count.  Floats are
+accepted at the API boundary and converted exactly; they re-enter only in
+reports and CSV output.
 """
 
 from __future__ import annotations

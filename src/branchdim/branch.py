@@ -11,7 +11,6 @@ variants used by the rest of the toolkit:
 * ``strip_envelope``  -- the envelope built from a one-variable profile
   ``g`` and a base height ``z``,
 * ``inf_branch``      -- pointwise minima of families,
-* ``TableBranch``     -- measured count tables (see ``counting``),
 * ``GridBranch``      -- explicit integer-grid samples, handy for
   perturbation experiments,
 
@@ -19,10 +18,8 @@ plus the operations on them: the maximal increasing Lipschitz minorant,
 Lipschitz regularization, the normalized scale limit, property checks,
 and the shifted-sandwich comparison.
 
-Exact-variant evaluations (lift / strip / inf / grid) are carried out in
-Fractions, so tolerance-zero property checks are meaningful; table-backed
-functions evaluate to float log2 values but expose exact integer counts,
-which the property checks use instead of logs.
+Every variant evaluates in Fractions, so tolerance-zero property checks
+are meaningful.
 """
 
 from __future__ import annotations
@@ -42,7 +39,6 @@ __all__ = [
     "StripEnvelopeBranch",
     "InfBranch",
     "GridBranch",
-    "TableBranch",
     "LipschitzProfile",
     "EtaBound",
     "BranchReport",
@@ -263,8 +259,8 @@ class GridBranch(BranchFn):
     Used for perturbation experiments and as the parsing target of the
     ``u,v,value`` CSV format.  Values are exact Fractions.  ``u`` must be
     an integer; a fractional ``v`` rounds up to the next integer, the same
-    pessimistic convention the table variant uses, so windowed limits work
-    on grid-backed functions too.
+    pessimistic convention the lower-spectrum estimator uses, so windowed
+    limits work on grid-backed functions too.
     """
 
     variant = "grid"
@@ -293,35 +289,6 @@ class GridBranch(BranchFn):
             raise DomainError("grid branch functions need integer u")
         v_int = min(int(math.ceil(vv)), int(uu))
         return self.samples[(int(uu), v_int)]
-
-
-class TableBranch(BranchFn):
-    """Measured count table wrapped as a branch function.
-
-    Evaluation requires an integer ``u`` and rounds ``v`` up to the next
-    integer (the pessimistic direction for lower-type estimates).  The
-    value is the float log2 of the stored count; exact integer counts are
-    available through ``count`` and are what the property checks use.
-    """
-
-    variant = "table"
-
-    def __init__(self, table):
-        super().__init__(table.u_max, certified=False)
-        self.table = table
-
-    def count(self, u: int, v: int) -> int:
-        return self.table.count(u, v)
-
-    def value(self, u: Rational, v: Rational) -> float:
-        uu, vv = self._domain(u, v)
-        if uu.denominator != 1:
-            raise DomainError("table branch functions need integer u")
-        v_int = int(math.ceil(vv))
-        u_int = int(uu)
-        if v_int > u_int:
-            v_int = u_int
-        return self.table.log2(u_int, v_int)
 
 
 def lift(spec: Spectrum, u_max: Rational, cert_grid: int = 64) -> LiftBranch:
@@ -487,7 +454,7 @@ def lambda_limit(f: BranchFn, theta: Rational, u_min: Rational,
     Returns ``min f(u, theta*u) / u`` over ``u = u_min, u_min+step, ...``
     up to ``u_max`` (default: the function's own bound).  For lift-backed
     functions this equals the spectrum value at ``theta`` at every ``u``,
-    so the window does not matter; for measured tables it is a pessimistic
+    so the window does not matter; for grid samples it is a pessimistic
     finite-scale reading of the liminf.
     """
     th = as_fraction(theta)
@@ -527,21 +494,15 @@ def check_branch(f: BranchFn, alpha: Rational, grid: int = 1,
                  tolerance: float = 0.0) -> BranchReport:
     """Verify superadditivity and the u-Lipschitz bound on sampled triples.
 
-    Exact variants are compared in Fractions; table-backed functions are
-    compared through their integer counts (``c(u,v) >= c(u,w) * c(w,v)``),
-    so a tolerance of zero is a meaningful request in both cases.
+    Values are compared in Fractions, so a tolerance of zero is a
+    meaningful request.
     """
     a = as_fraction(alpha)
     if grid < 1:
         raise ParameterError("grid spacing must be a positive integer")
     top = int(f.u_max)
     us = list(range(0, top + 1, grid))
-    table_mode = isinstance(f, TableBranch)
-    if table_mode:
-        cnt = {(u, v): f.count(u, v) for u in us for v in us if v <= u}
-        logs = {uv: math.log2(c) for uv, c in cnt.items()}
-    else:
-        vals = {(u, v): f.value(u, v) for u in us for v in us if v <= u}
+    vals = {(u, v): f.value(u, v) for u in us for v in us if v <= u}
     worst_s, wit_s = None, None
     worst_l, wit_l = None, None
     for u in us:
@@ -551,17 +512,8 @@ def check_branch(f: BranchFn, alpha: Rational, grid: int = 1,
             for v in us:
                 if v > w:
                     break
-                if table_mode:
-                    if cnt[(u, w)] * cnt[(w, v)] > cnt[(u, v)]:
-                        m_s = max(
-                            logs[(u, w)] + logs[(w, v)] - logs[(u, v)], 1e-15
-                        )
-                    else:
-                        m_s = logs[(u, w)] + logs[(w, v)] - logs[(u, v)]
-                    m_l = logs[(u, v)] - logs[(w, v)] - float(a) * (u - w)
-                else:
-                    m_s = vals[(u, w)] + vals[(w, v)] - vals[(u, v)]
-                    m_l = vals[(u, v)] - vals[(w, v)] - a * (u - w)
+                m_s = vals[(u, w)] + vals[(w, v)] - vals[(u, v)]
+                m_l = vals[(u, v)] - vals[(w, v)] - a * (u - w)
                 if worst_s is None or m_s > worst_s:
                     worst_s, wit_s = m_s, (u, w, v)
                 if worst_l is None or m_l > worst_l:

@@ -39,7 +39,7 @@ from .counting import (
     ub_table,
     uniformity_report_to_csv,
 )
-from .errors import BranchDimError, FormatError, ParameterError, PreconditionError
+from .errors import BranchDimError, FormatError, ParameterError
 from .branch import LipschitzProfile
 from .sets import (
     assembly_to_csv,
@@ -71,7 +71,7 @@ EXIT_GATE = 3
 KNOWN_KEYS = {
     "command", "out",
     "family", "alpha", "lambda", "t", "a1", "a2", "kappa", "spectrum-file",
-    "kind", "slope", "d", "depth", "kmax", "child-rule",
+    "kind", "slope", "depth", "kmax",
     "u-max", "candidate-rule", "tables", "eta",
     "window", "theta-grid", "tolerance",
     "inequalities", "grid",
@@ -180,7 +180,6 @@ def _build_set(cfg: dict):
     """Construct the object named by kind=; returns (object, depth)."""
     kind = cfg.get("kind", "moran")
     depth = _int(cfg, "depth", 16)
-    child_rule = cfg.get("child-rule", "lex")
     if kind == "moran":
         slope = _fraction(cfg, "slope", Fraction(1, 2))
         if not (0 <= slope <= 1):
@@ -188,12 +187,11 @@ def _build_set(cfg: dict):
         line = LipschitzProfile((Fraction(0), Fraction(depth)),
                                 (Fraction(0), slope * depth), Fraction(1))
         profile = profile_from_lipschitz(line, 1, depth)
-        return build_moran(profile, depth, child_rule), depth
+        return build_moran(profile, depth), depth
     if kind == "assembly":
         spec = _spectrum(cfg)
         kmax = _int(cfg, "kmax", 8)
-        return build_assembly(spec, d=1, k_max=kmax, depth=depth,
-                              child_rule=child_rule), depth
+        return build_assembly(spec, d=1, k_max=kmax, depth=depth), depth
     raise FormatError(f"unknown set kind {kind!r}")
 
 
@@ -278,8 +276,7 @@ def run_verify(cfg: dict, out_dir: str) -> int:
               file=sys.stderr)
         return EXIT_GATE
 
-    assembly = build_assembly(spec, d=1, k_max=kmax, depth=depth,
-                              child_rule=cfg.get("child-rule", "lex"))
+    assembly = build_assembly(spec, d=1, k_max=kmax, depth=depth)
     iset = enumerate_components(assembly, depth)
     rule = cfg.get("candidate-rule", "dense")
     thetas = _theta_grid(cfg)
@@ -392,12 +389,6 @@ def main(argv=None) -> int:
         if command == "examples":
             return run_examples(out_dir)
         raise FormatError(f"unknown command {command!r}")
-    except PreconditionError as exc:
-        print(f"precondition failed: {exc}", file=sys.stderr)
-        return EXIT_GATE
-    except (FormatError, ParameterError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except BranchDimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .branch import EtaBound
@@ -66,35 +66,43 @@ def _dyadic_exponent(x: Fraction, what: str) -> int:
 class IntervalSet:
     """Sorted disjoint closed intervals with exact dyadic endpoints.
 
-    Inputs are canonicalized: pairs are sorted and touching or overlapping
-    intervals merged, so the stored runs are separated by positive gaps.
+    Endpoints are stored as integer numerators over ``2^scale``.
+    ``IntervalSet(pairs)`` takes dyadic rationals; ``IntervalSet(runs,
+    scale=R)`` takes integer ranges in units of ``2^-R``.  Both are
+    canonicalized the same way: ranges are sorted, touching or overlapping
+    ones merged (so stored runs are separated by positive gaps), and the
+    power of two shared by every endpoint is stripped, so ``scale`` is
+    the least non-negative one that keeps the endpoints integral.
     Degenerate pairs (lo == hi) represent isolated points.
     """
 
-    def __init__(self, pairs):
-        frs = []
-        for lo, hi in pairs:
-            lo, hi = as_fraction(lo), as_fraction(hi)
+    def __init__(self, pairs, scale: int | None = None):
+        if scale is None:
+            pairs = [(as_fraction(lo), as_fraction(hi)) for lo, hi in pairs]
+            scale = max((_dyadic_exponent(x, "endpoint")
+                         for pair in pairs for x in pair), default=0)
+            unit = 1 << scale
+            pairs = [(int(lo * unit), int(hi * unit)) for lo, hi in pairs]
+        elif scale < 0:
+            raise ParameterError(f"scale must be non-negative, got {scale}")
+        merged: list[tuple[int, int]] = []
+        for lo, hi in sorted(pairs):
             if lo > hi:
-                raise ParameterError(f"interval ({lo}, {hi}) is reversed")
-            frs.append((lo, hi))
-        if not frs:
-            raise ParameterError("interval set cannot be empty")
-        scale = 0
-        for lo, hi in frs:
-            scale = max(scale, _dyadic_exponent(lo, "endpoint"),
-                        _dyadic_exponent(hi, "endpoint"))
-        unit = 1 << scale
-        ints = sorted((int(lo * unit), int(hi * unit)) for lo, hi in frs)
-        merged = [ints[0]]
-        for lo, hi in ints[1:]:
-            if lo <= merged[-1][1]:
+                raise ParameterError(
+                    f"interval ({lo}, {hi}) / 2^{scale} is reversed")
+            if merged and lo <= merged[-1][1]:
                 if hi > merged[-1][1]:
                     merged[-1] = (merged[-1][0], hi)
             else:
                 merged.append((lo, hi))
-        self.scale = scale
-        self.pairs = merged
+        if not merged:
+            raise ParameterError("interval set cannot be empty")
+        bits = 0
+        for lo, hi in merged:
+            bits |= lo | hi
+        shift = min(scale, (bits & -bits).bit_length() - 1) if bits else scale
+        self.scale = scale - shift
+        self.pairs = [(lo >> shift, hi >> shift) for lo, hi in merged]
 
     def intervals(self) -> list[tuple[Fraction, Fraction]]:
         unit = Fraction(1, 1 << self.scale)

@@ -23,14 +23,14 @@ interval form consumed by the counting module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .branch import LipschitzProfile
 from .counting import IntervalSet
 from .errors import ParameterError
 from .spectra import Spectrum, check_inequality
-from ._num import Rational, as_fraction, fmt_number
+from ._num import Rational, as_fraction
 
 __all__ = [
     "SubdivisionProfile",
@@ -340,8 +340,7 @@ def realize_uniform_profile(spec: Spectrum, schedule, d: int = 1,
 
 
 def build_assembly(spec: Spectrum, d: int = 1, k_max: int = 8,
-                   depth: int = 16, child_rule: str = "lex",
-                   cert_grid: int = 64) -> Assembly:
+                   depth: int = 16, cert_grid: int = 64) -> Assembly:
     """Assemble scaled Moran pieces along a geometric sequence of scales.
 
     For each k in 1..k_max the strip spectrum ``f_k(u) = u * phi(k/u)``
@@ -369,7 +368,7 @@ def build_assembly(spec: Spectrum, d: int = 1, k_max: int = 8,
         local_depth = depth - k
         strip = _strip_profile(spec, k, local_depth)
         profile = profile_from_lipschitz(strip, 1, local_depth)
-        dset = build_moran(profile, local_depth, child_rule)
+        dset = build_moran(profile, local_depth)
         components.append(
             AssemblyComponent(k=k, translation=Fraction(4, 2 ** k), dset=dset)
         )
@@ -413,7 +412,8 @@ def enumerate_components(obj, resolution: int) -> IntervalSet:
     assembly's origin stays an exact degenerate interval rather than being
     fattened to a cube; at the scales the toolkit counts, the two choices
     give identical packings, and the point form matches the constructed
-    set.
+    set.  Endpoints stay integer numerators over ``2^resolution`` from the
+    construction's runs to the returned set; only shifts are involved.
     """
     if isinstance(obj, DyadicSet):
         if obj.d != 1:
@@ -422,33 +422,21 @@ def enumerate_components(obj, resolution: int) -> IntervalSet:
             raise ParameterError(
                 f"resolution {resolution} exceeds construction depth {obj.depth}"
             )
-        unit = Fraction(1, 2 ** resolution)
-        pairs = [(s * unit, e * unit) for s, e in obj.runs_at_level(resolution)]
-        return IntervalSet(pairs)
+        return IntervalSet(obj.runs_at_level(resolution), scale=resolution)
     if isinstance(obj, Assembly):
         if resolution > obj.depth:
             raise ParameterError(
                 f"resolution {resolution} exceeds construction depth {obj.depth}"
             )
-        unit = Fraction(1, 2 ** resolution)
-        cube_ranges: list[tuple[int, int]] = []
+        # Component k's run (s, e) sits at ((4 << (depth-k)) + s) / 2^depth;
+        # floor the left end and ceil the right end to level-resolution cubes.
+        sh = obj.depth - resolution
+        ranges = [(0, 0)]  # the origin
         for comp in obj.components:
-            for lo, hi in obj.component_intervals(comp):
-                a = math.floor(lo / unit)
-                b = math.ceil(hi / unit)
-                cube_ranges.append((a, b))
-        cube_ranges.sort()
-        merged: list[tuple[int, int]] = []
-        for a, b in cube_ranges:
-            if merged and a <= merged[-1][1]:
-                if b > merged[-1][1]:
-                    merged[-1] = (merged[-1][0], b)
-            else:
-                merged.append((a, b))
-        pairs = [(a * unit, b * unit) for a, b in merged]
-        if not pairs or pairs[0][0] > 0:
-            pairs.insert(0, (Fraction(0), Fraction(0)))
-        return IntervalSet(pairs)
+            base = 4 << (obj.depth - comp.k)
+            ranges.extend(((base + s) >> sh, -((-(base + e)) >> sh))
+                          for s, e in comp.dset.runs)
+        return IntervalSet(ranges, scale=resolution)
     raise ParameterError(f"cannot enumerate {type(obj).__name__}")
 
 

@@ -88,6 +88,13 @@ class TestParseFailures:
                                 "theta-grid=0.5,oops\n")
         assert code == 2
 
+    @pytest.mark.parametrize("key", ["d=2", "child-rule=spread"])
+    def test_removed_keys_are_unknown(self, tmp_path, key):
+        code, out = run(tmp_path, "command=make-set\nkind=moran\n"
+                                  f"depth=6\n{key}\n")
+        assert code == 2
+        assert not (out / "set.csv").exists()
+
     def test_spectrum_file_missing(self, tmp_path):
         code, _ = run(tmp_path, "command=check\nspectrum-file=missing.txt\n")
         assert code == 2

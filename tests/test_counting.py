@@ -144,6 +144,47 @@ class TestIntervalSet:
         assert TWO_PIECE.contains(F(1, 2))
         assert not TWO_PIECE.contains(F(3, 4))
 
+    def test_integer_runs_match_fraction_form(self):
+        runs = [(8, 12), (2, 6), (6, 7), (20, 20)]
+        pairs = [(F(lo, 16), F(hi, 16)) for lo, hi in runs]
+        iv = IntervalSet(runs, scale=4)
+        assert (iv.scale, iv.pairs) == (4, [(2, 7), (8, 12), (20, 20)])
+        ref = IntervalSet(pairs)
+        assert (iv.scale, iv.pairs) == (ref.scale, ref.pairs)
+
+    def test_integer_runs_strip_shared_power_of_two(self):
+        iv = IntervalSet([(8, 16), (24, 40)], scale=5)
+        assert (iv.scale, iv.pairs) == (2, [(1, 2), (3, 5)])
+        assert iv.intervals() == [(F(1, 4), F(1, 2)), (F(3, 4), F(5, 4))]
+
+    def test_integer_origin_point(self):
+        iv = IntervalSet([(0, 0)], scale=7)
+        ref = IntervalSet([(0, 0)])
+        assert (iv.scale, iv.pairs) == (ref.scale, ref.pairs) == (0, [(0, 0)])
+
+    def test_integer_rejects_reversed(self):
+        with pytest.raises(ParameterError):
+            IntervalSet([(0, 1), (5, 3)], scale=3)
+
+    def test_integer_rejects_empty(self):
+        with pytest.raises(ParameterError):
+            IntervalSet([], scale=3)
+
+    def test_integer_rejects_negative_scale(self):
+        with pytest.raises(ParameterError):
+            IntervalSet([(0, 1)], scale=-1)
+
+    @given(st.lists(st.tuples(st.integers(-64, 64), st.integers(0, 16)),
+                    min_size=1, max_size=8),
+           st.integers(0, 8))
+    @settings(max_examples=80)
+    def test_integer_form_equals_fraction_form(self, starts_widths, scale):
+        runs = [(lo, lo + w) for lo, w in starts_widths]
+        iv = IntervalSet(runs, scale=scale)
+        ref = IntervalSet([(F(lo, 2 ** scale), F(hi, 2 ** scale))
+                           for lo, hi in runs])
+        assert (iv.scale, iv.pairs) == (ref.scale, ref.pairs)
+
     def test_scaled_pairs_refuses_coarsening(self):
         with pytest.raises(ParameterError):
             IntervalSet([(0, F(1, 4))]).scaled_pairs(1)

@@ -1,5 +1,6 @@
 """Unit tests for Moran sets, profile realization, and assemblies."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from branchdim.branch import LipschitzProfile
+from branchdim.counting import IntervalSet
 from branchdim.errors import ParameterError
 from branchdim.sets import (
     Assembly,
@@ -25,6 +27,7 @@ from branchdim.spectra import (
     make_phi,
     make_psi,
     make_q,
+    min_family,
     spectrum_from_breakpoints,
 )
 
@@ -432,6 +435,70 @@ class TestEnumerateComponents:
     def test_rejects_unknown_objects(self):
         with pytest.raises(ParameterError):
             enumerate_components([(0, 1)], 1)
+
+
+def fraction_enumeration(obj, resolution):
+    """The Fraction-based enumeration the integer path replaced (oracle).
+
+    Scales the construction's runs to exact Fractions, floors and ceils
+    assembly components to level-``resolution`` cubes by Fraction
+    division, and adds the origin, then hands the pairs to the Fraction
+    form of ``IntervalSet``.
+    """
+    unit = F(1, 2 ** resolution)
+    if isinstance(obj, DyadicSet):
+        return IntervalSet([(s * unit, e * unit)
+                            for s, e in obj.runs_at_level(resolution)])
+    pairs = [(F(0), F(0))]
+    for comp in obj.components:
+        for lo, hi in obj.component_intervals(comp):
+            pairs.append((math.floor(lo / unit) * unit,
+                          math.ceil(hi / unit) * unit))
+    return IntervalSet(pairs)
+
+
+def canonical(iset):
+    return iset.scale, iset.pairs
+
+
+class TestIntegerEnumerationMatchesFractions:
+    @pytest.mark.parametrize("slope", [0, F(1, 4), F(1, 3), F(1, 2), F(7, 10), 1])
+    def test_moran_all_resolutions(self, slope):
+        ds = build_moran(profile_from_lipschitz(line(slope, 12), 1, 12), 12)
+        for res in range(13):
+            assert canonical(enumerate_components(ds, res)) == \
+                canonical(fraction_enumeration(ds, res))
+
+    def test_even_endpoints_reduce_scale(self):
+        # Level-4 runs (0,4) and (8,12): every endpoint is a multiple of 4,
+        # so the stored scale drops from 4 to 2.
+        ds = build_moran(SubdivisionProfile(1, (1, 0, 1, 1)), 4)
+        assert ds.runs == [(0, 4), (8, 12)]
+        iv = enumerate_components(ds, 4)
+        assert canonical(iv) == (2, [(0, 1), (2, 3)])
+        assert canonical(iv) == canonical(fraction_enumeration(ds, 4))
+
+    @given(st.lists(st.integers(0, 1), min_size=1, max_size=10), st.data())
+    @settings(max_examples=60)
+    def test_random_moran(self, bits, data):
+        ds = build_moran(SubdivisionProfile(1, tuple(bits)), len(bits))
+        res = data.draw(st.integers(0, len(bits)))
+        assert canonical(enumerate_components(ds, res)) == \
+            canonical(fraction_enumeration(ds, res))
+
+    @pytest.mark.parametrize("spec", [
+        zero_spectrum(),
+        full_slope_spectrum(1),
+        make_phi(1, F(1, 2), F(1, 4)),
+        make_q(1, F(1, 2), F(2, 3), F(1, 4)),
+        min_family([make_phi(1, F(1, 2), F(1, 4)), make_psi(1, F(1, 3), F(1, 5))]),
+    ], ids=["zero", "full", "phi", "q", "min"])
+    def test_assemblies_all_resolutions(self, spec):
+        for k_max, depth in ((4, 10), (8, 16)):
+            asm = build_assembly(spec, k_max=k_max, depth=depth)
+            for res in range(depth + 1):
+                assert canonical(enumerate_components(asm, res)) == \
+                    canonical(fraction_enumeration(asm, res))
 
 
 class TestSerialization:
