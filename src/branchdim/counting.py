@@ -25,6 +25,7 @@ an exact integer while honoring strict inequalities.
 
 from __future__ import annotations
 
+import heapq
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -333,45 +334,54 @@ class CountTable:
         return out
 
 
-def _candidate_positions(ws: _Workspace, rule: str, v: int) -> list[int]:
-    """Ball-center candidates at the workspace scale for ball level v.
+def _candidates_per_level(ws: _Workspace, rule: str):
+    """Ball-center candidates at the workspace scale, as a function of v.
 
     endpoints: every interval endpoint.
     dense: endpoints plus all level-(v+3) dyadic points inside the set.
     sparse: the extremes, the first and last few interval endpoints, and
       the endpoints flanking the widest interior gaps; meant for very deep
       sets where the endpoint list itself is huge.
+
+    Only dense depends on the ball level v; the other two lists are built
+    once and returned for every v.
     """
-    if rule == "endpoints" or rule == "dense":
-        cands = []
-        for lo, hi in ws.pieces:
-            cands.append(lo)
-            if hi != lo:
-                cands.append(hi)
-        if rule == "dense":
-            shift = ws.scale - min(v + 3, ws.scale)
-            unit = 1 << shift
-            for lo, hi in ws.pieces:
-                j = -(-lo // unit)
-                top = hi // unit
-                cands.extend(j2 * unit for j2 in range(j, top + 1))
-        return sorted(set(cands))
     if rule == "sparse":
         k = SPARSE_KEEP
         cands = set()
         for lo, hi in ws.pieces[:k] + ws.pieces[-k:]:
             cands.add(lo)
             cands.add(hi)
-        gaps = sorted(
+        # nlargest keeps the tie order of a stable descending sort.
+        gaps = heapq.nlargest(
+            k,
             range(len(ws.pieces) - 1),
             key=lambda i: ws.pieces[i + 1][0] - ws.pieces[i][1],
-            reverse=True,
-        )[:k]
+        )
         for i in gaps:
             cands.add(ws.pieces[i][1])
             cands.add(ws.pieces[i + 1][0])
-        return sorted(cands)
-    raise ParameterError(f"unknown candidate rule {rule!r}")
+        sparse = sorted(cands)
+        return lambda v: sparse
+    if rule not in ("endpoints", "dense"):
+        raise ParameterError(f"unknown candidate rule {rule!r}")
+    ends = []
+    for lo, hi in ws.pieces:
+        ends.append(lo)
+        if hi != lo:
+            ends.append(hi)
+    if rule == "endpoints":
+        endpoints = sorted(set(ends))
+        return lambda v: endpoints
+
+    def dense(v: int) -> list[int]:
+        cands = list(ends)
+        unit = 1 << (ws.scale - min(v + 3, ws.scale))
+        for lo, hi in ws.pieces:
+            cands.extend(j * unit for j in range(-(-lo // unit), hi // unit + 1))
+        return sorted(set(cands))
+
+    return dense
 
 
 def _table(iset: IntervalSet, u_max: int, candidate_rule: str, kind: str,
@@ -386,13 +396,14 @@ def _table(iset: IntervalSet, u_max: int, candidate_rule: str, kind: str,
             if not (0 <= v <= u <= u_max):
                 raise ParameterError(f"cell ({u}, {v}) outside the grid")
     ws = _Workspace(iset, u_max + 3)
+    candidates = _candidates_per_level(ws, candidate_rule)
     hull_lo, hull_hi = ws.pieces[0][0], ws.pieces[-1][1]
     by_v: dict[int, list[int]] = {}
     for (u, v) in wanted:
         by_v.setdefault(v, []).append(u)
     out = {}
     for v, us in sorted(by_v.items()):
-        cands = _candidate_positions(ws, candidate_rule, v)
+        cands = candidates(v)
         rad = 1 << (ws.scale - v)
         for u in sorted(us):
             gap = 1 << (ws.scale - u + 2)

@@ -15,7 +15,10 @@ All breakpoint arithmetic is done in :class:`fractions.Fraction`; the
 inequality checks evaluate on a grid augmented with every breakpoint and
 every pairwise breakpoint ratio, which for piecewise-linear inputs covers
 the corner points of every affine region of the two-parameter margin
-functions.  Reports carry float margins for readability.
+functions.  The two-parameter checks (S, W, AQ and the joint chains)
+scale every sample point to n/D and every margin by L*D**2, so the
+O(N**2) loop compares exact integers; one Fraction is built for the
+worst margin at the end.  Reports carry float margins for readability.
 """
 
 from __future__ import annotations
@@ -46,6 +49,12 @@ __all__ = [
 ]
 
 INEQUALITIES = ("S", "W", "M", "L", "AQ")
+JOINT_CLAUSES = (
+    "lower-chain lower bound",
+    "lower-chain upper bound",
+    "assouad-chain lower bound",
+    "assouad-chain upper bound",
+)
 
 
 @dataclass(frozen=True)
@@ -363,6 +372,47 @@ def _sample_points(spec: Spectrum, grid_resolution: int) -> list[Fraction]:
     return sorted(pts)
 
 
+def _integer_form(specs, points: list[Fraction]):
+    """Exact integer tables for evaluating ``specs`` at sample products.
+
+    Let D be the lcm of the denominators of ``points``, so point j is
+    ``nums[j]/D``, and L the lcm of the denominators of every intercept
+    a_i and slope s_i of the pieces phi(x) = a_i + s_i*x and of alpha.
+    Then for every integer k >= 0
+
+        L*D*D*phi(k/D**2) = L*a_i*D**2 + L*s_i*k,
+
+    an integer, where piece i is the last whose start b_i has
+    ceil(b_i*D**2) <= k.  A product lambda*theta of two sample points is
+    such a k/D**2, so every margin of the two-parameter checks, times
+    L*D**2, is an exact integer.
+
+    Returns ``(nums, D, L, tables)`` with one ``(starts, intercepts,
+    slopes, values)`` per spectrum: ``starts[i] = ceil(b_i*D**2)``,
+    ``intercepts[i] = L*a_i*D**2``, ``slopes[i] = L*s_i`` and
+    ``values[j] = L*D*phi(nums[j]/D)``.
+    """
+    den = math.lcm(*(x.denominator for x in points))
+    nums = [x.numerator * (den // x.denominator) for x in points]
+    pieces = [_pieces(spec) for spec in specs]
+    lcm = math.lcm(
+        specs[0].alpha.denominator,
+        *(x.denominator for ps in pieces for (_, _, a, s) in ps for x in (a, s)),
+    )
+    den2 = den * den
+    tables = []
+    for ps in pieces:
+        starts = [-(-x0.numerator * den2 // x0.denominator) for x0, _, _, _ in ps]
+        icpt = [(a * lcm).numerator * den2 for _, _, a, _ in ps]
+        slope = [(s * lcm).numerator for _, _, _, s in ps]
+        vals = []
+        for n in nums:
+            i = bisect_right(starts, n * den) - 1
+            vals.append((icpt[i] + slope[i] * n * den) // den)
+        tables.append((starts, icpt, slope, vals))
+    return nums, den, lcm, tables
+
+
 def _m_ratio_sequence(spec: Spectrum, points: list[Fraction]):
     """Values of phi(theta)/(1-theta) over the sample, with a limit at 1.
 
@@ -401,7 +451,11 @@ def check_inequality(
     * ``AQ`` phi(theta) + theta*phi(lambda) >= phi(lambda*theta)
       and phi(lambda*theta) >= phi(theta)
 
-    A failed check is a report with ``passed=False``, not an error.
+    S, W and AQ are evaluated at every pair of ``_sample_points``, lambda
+    outer and theta inner, with each margin scaled by L*D**2 (see
+    ``_integer_form``) and compared as an exact integer; the first pair
+    reaching the largest margin is the witness.  A failed check is a
+    report with ``passed=False``, not an error.
     """
     if inequality not in INEQUALITIES:
         raise ParameterError(f"unknown inequality {inequality!r}")
@@ -438,26 +492,36 @@ def check_inequality(
                 best, best_at = r, x
         return _report(inequality, worst, witness, tolerance)
 
-    vals = {x: spec.eval_exact(x) for x in points}
-    alpha = spec.alpha
+    nums, den, lcm, ((starts, icpt, slope, vals),) = _integer_form(
+        (spec,), points
+    )
+    dvals = [den * v for v in vals]
+    if inequality == "W":
+        # (1-theta)*alpha, scaled by L*D**2
+        cap = [(spec.alpha * lcm).numerator * den * (den - t) for t in nums]
     worst = None
-    witness = None
-    for lam in points:
-        v_lam = vals[lam]
-        for theta in points:
-            prod_val = spec.eval_exact(lam * theta)
+    at = None
+    for li, lam in enumerate(nums):
+        v_lam = vals[li]
+        for ti, theta in enumerate(nums):
+            k = lam * theta
+            i = bisect_right(starts, k) - 1
+            prod_val = icpt[i] + slope[i] * k
             if inequality == "S":
-                margin = vals[theta] + theta * v_lam - prod_val
+                margin = dvals[ti] + theta * v_lam - prod_val
             elif inequality == "W":
-                margin = prod_val - (1 - theta) * alpha - theta * v_lam
+                margin = prod_val - cap[ti] - theta * v_lam
             else:  # AQ: worst of the two clauses at this pair
                 margin = max(
-                    prod_val - vals[theta] - theta * v_lam,
-                    vals[theta] - prod_val,
+                    prod_val - dvals[ti] - theta * v_lam,
+                    dvals[ti] - prod_val,
                 )
             if worst is None or margin > worst:
-                worst, witness = margin, (float(lam), float(theta))
-    return _report(inequality, worst, witness, tolerance)
+                worst, at = margin, (li, ti)
+    witness = (float(points[at[0]]), float(points[at[1]]))
+    return _report(
+        inequality, Fraction(worst, lcm * den * den), witness, tolerance
+    )
 
 
 def _report(
@@ -494,8 +558,9 @@ def check_joint(
         theta*phiL(lambda) <= phiA(lambda*theta) - phiA(theta) <= theta*phiA(lambda)
 
     Both chains are evaluated on the shared grid plus both spectra's
-    breakpoint-derived points; the report's ``binding`` names the clause
-    where the worst margin occurred.
+    breakpoint-derived points, with the margins of both spectra scaled
+    by one common L*D**2 and compared as exact integers; the report's
+    ``binding`` names the clause where the worst margin occurred.
     """
     if phi_lower.alpha != phi_assouad.alpha:
         raise ParameterError("joint check requires a common alpha")
@@ -505,27 +570,31 @@ def check_joint(
         set(_sample_points(phi_lower, grid_resolution))
         | set(_sample_points(phi_assouad, grid_resolution))
     )
-    vl = {x: phi_lower.eval_exact(x) for x in pts}
-    va = {x: phi_assouad.eval_exact(x) for x in pts}
+    nums, den, lcm, tables = _integer_form((phi_lower, phi_assouad), pts)
+    (sl, il, pl, vl), (sa, ia, pa, va) = tables
+    dvl = [den * v for v in vl]
+    dva = [den * v for v in va]
     worst = None
-    witness = None
-    binding = None
-    for lam in pts:
-        for theta in pts:
-            prod = lam * theta
-            mid_l = phi_lower.eval_exact(prod) - theta * vl[lam]
-            diff_a = phi_assouad.eval_exact(prod) - va[theta]
+    at = None
+    for li, lam in enumerate(nums):
+        for ti, theta in enumerate(nums):
+            k = lam * theta
+            i = bisect_right(sl, k) - 1
+            mid_l = il[i] + pl[i] * k - theta * vl[li]
+            i = bisect_right(sa, k) - 1
+            diff_a = ia[i] + pa[i] * k - dva[ti]
             clauses = (
-                ("lower-chain lower bound", vl[theta] - mid_l),
-                ("lower-chain upper bound", mid_l - va[theta]),
-                ("assouad-chain lower bound", theta * vl[lam] - diff_a),
-                ("assouad-chain upper bound", diff_a - theta * va[lam]),
+                dvl[ti] - mid_l,
+                mid_l - dva[ti],
+                theta * vl[li] - diff_a,
+                diff_a - theta * va[li],
             )
-            for name, margin in clauses:
+            for c, margin in enumerate(clauses):
                 if worst is None or margin > worst:
-                    worst, witness, binding = margin, (float(lam), float(theta)), name
-    report = _report("JOINT", worst, witness, tolerance, binding=binding)
-    return report
+                    worst, at = margin, (li, ti, c)
+    witness = (float(pts[at[0]]), float(pts[at[1]]))
+    return _report("JOINT", Fraction(worst, lcm * den * den), witness,
+                   tolerance, binding=JOINT_CLAUSES[at[2]])
 
 
 # ---------------------------------------------------------------------------

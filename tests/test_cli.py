@@ -2,7 +2,7 @@
 
 import pytest
 
-from branchdim.cli import main, parse_config
+from branchdim.cli import EXAMPLE_CONFIGS, main, parse_config
 from branchdim.errors import FormatError
 
 
@@ -61,6 +61,21 @@ class TestCheckCommand:
         code, _ = run(tmp_path, Q_CHECK.replace("inequalities=S,W",
                                                 "inequalities=M"))
         assert code == 1
+
+    def test_example_spectrum_all_checks_golden(self, tmp_path):
+        # Bytes written by the Fraction grid loop at the default grid 512.
+        text = EXAMPLE_CONFIGS["check-q.cfg"].replace(
+            "inequalities=S,W", "inequalities=S,W,M,L,AQ")
+        code, out = run(tmp_path, text)
+        assert code == 1
+        assert (out / "check.csv").read_bytes() == (
+            b"check,passed,worst,witness\n"
+            b"S,true,0.0,(0.001953125;1.0)\n"
+            b"W,true,0.0,(0.001953125;0.001953125)\n"
+            b"M,false,0.09375,(0.3333333333333333;0.5)\n"
+            b"L,false,0.9375,(0.0;0.3333333333333333)\n"
+            b"AQ,false,0.3125,(0.001953125;0.3333333333333333)\n"
+        )
 
     def test_unknown_inequality(self, tmp_path):
         code, _ = run(tmp_path, Q_CHECK.replace("inequalities=S,W",

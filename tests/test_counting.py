@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from branchdim.branch import EtaBound
 from branchdim.counting import (
+    SPARSE_KEEP,
     CountTable,
     IntervalSet,
     SpectrumEstimate,
@@ -24,6 +25,8 @@ from branchdim.counting import (
     table_to_csv,
     ub_table,
     uniformity_report_to_csv,
+    _candidates_per_level,
+    _Workspace,
 )
 from branchdim.errors import DomainError, ParameterError
 from branchdim.sets import SubdivisionProfile, build_moran, enumerate_components
@@ -383,6 +386,84 @@ class TestTables:
         for (u, v) in t.grid():
             if (u + 1, v) in t.cells:
                 assert t.log2(u + 1, v) - t.log2(u, v) <= 1 + 2
+
+
+def per_level_candidates(ws, rule, v):
+    """Candidate lists rebuilt for every ball level v: the oracle."""
+    if rule == "endpoints" or rule == "dense":
+        cands = []
+        for lo, hi in ws.pieces:
+            cands.append(lo)
+            if hi != lo:
+                cands.append(hi)
+        if rule == "dense":
+            shift = ws.scale - min(v + 3, ws.scale)
+            unit = 1 << shift
+            for lo, hi in ws.pieces:
+                j = -(-lo // unit)
+                top = hi // unit
+                cands.extend(j2 * unit for j2 in range(j, top + 1))
+        return sorted(set(cands))
+    if rule == "sparse":
+        k = SPARSE_KEEP
+        cands = set()
+        for lo, hi in ws.pieces[:k] + ws.pieces[-k:]:
+            cands.add(lo)
+            cands.add(hi)
+        gaps = sorted(
+            range(len(ws.pieces) - 1),
+            key=lambda i: ws.pieces[i + 1][0] - ws.pieces[i][1],
+            reverse=True,
+        )[:k]
+        for i in gaps:
+            cands.add(ws.pieces[i][1])
+            cands.add(ws.pieces[i + 1][0])
+        return sorted(cands)
+    raise ParameterError(f"unknown candidate rule {rule!r}")
+
+
+def random_gap_set(widths):
+    """Unit pieces separated by the given gap widths (ties included)."""
+    runs, x = [], 0
+    for w in widths:
+        runs.append((x, x + 1))
+        x += 1 + w
+    runs.append((x, x + 1))
+    return IntervalSet(runs, scale=6)
+
+
+class TestCandidatesMatchPerLevelOracle:
+    """Candidates built once per table equal the per-level rebuild."""
+
+    @pytest.mark.parametrize("rule", ["endpoints", "dense", "sparse"])
+    @pytest.mark.parametrize("name,iset,u_max", [
+        ("full", FULL, 6),
+        ("two-piece", TWO_PIECE, 6),
+        ("point", POINT, 4),
+        ("moran-10", alternating_moran(10), 10),
+        ("tied-gaps", random_gap_set([3, 1, 3, 2, 3, 1, 3, 3, 2, 3, 1, 3]), 8),
+        # twenty tied widest gaps, all flanked by interior pieces
+        ("tied-interior", random_gap_set([1] * 10 + [3] * 20 + [1] * 10), 8),
+    ])
+    def test_every_level(self, rule, name, iset, u_max):
+        ws = _Workspace(iset, u_max + 3)
+        candidates = _candidates_per_level(ws, rule)
+        for v in range(u_max + 1):
+            assert candidates(v) == per_level_candidates(ws, rule, v), (name, v)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(1, 4), min_size=0, max_size=40),
+           st.integers(0, 9))
+    def test_random_gap_ties(self, widths, u_max):
+        ws = _Workspace(random_gap_set(widths), u_max + 3)
+        for rule in ("endpoints", "dense", "sparse"):
+            candidates = _candidates_per_level(ws, rule)
+            for v in range(u_max + 1):
+                assert candidates(v) == per_level_candidates(ws, rule, v)
+
+    def test_unknown_rule(self):
+        with pytest.raises(ParameterError):
+            _candidates_per_level(_Workspace(FULL, 3), "random")
 
 
 def make_estimate(pairs, kind="lower", window=(4, 8), warning=False):

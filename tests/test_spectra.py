@@ -1,6 +1,7 @@
 """Unit tests for the piecewise-linear spectrum algebra."""
 
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 from branchdim.errors import DomainError, FormatError, ParameterError
 from branchdim.spectra import (
     Spectrum,
+    _report,
+    _sample_points,
     check_inequality,
     check_joint,
     eval_spectrum,
@@ -279,6 +282,150 @@ class TestFamilyProperties:
         other = make_phi(alpha, F(1, 3), alpha * F(1, 3))
         combined = min_family([make_phi(alpha, lam, t), other])
         assert check_inequality(combined, "M", 24).passed
+
+
+def fraction_grid_check(spec, inequality, grid_resolution, tolerance=1e-9):
+    """The S/W/AQ grid loop in Fraction arithmetic: the oracle."""
+    points = _sample_points(spec, grid_resolution)
+    vals = {x: spec.eval_exact(x) for x in points}
+    alpha = spec.alpha
+    worst = None
+    witness = None
+    for lam in points:
+        v_lam = vals[lam]
+        for theta in points:
+            prod_val = spec.eval_exact(lam * theta)
+            if inequality == "S":
+                margin = vals[theta] + theta * v_lam - prod_val
+            elif inequality == "W":
+                margin = prod_val - (1 - theta) * alpha - theta * v_lam
+            else:  # AQ: worst of the two clauses at this pair
+                margin = max(
+                    prod_val - vals[theta] - theta * v_lam,
+                    vals[theta] - prod_val,
+                )
+            if worst is None or margin > worst:
+                worst, witness = margin, (float(lam), float(theta))
+    return _report(inequality, worst, witness, tolerance)
+
+
+def fraction_grid_joint(phi_lower, phi_assouad, grid_resolution, tolerance=1e-9):
+    """The joint-chain grid loop in Fraction arithmetic: the oracle."""
+    pts = sorted(
+        set(_sample_points(phi_lower, grid_resolution))
+        | set(_sample_points(phi_assouad, grid_resolution))
+    )
+    vl = {x: phi_lower.eval_exact(x) for x in pts}
+    va = {x: phi_assouad.eval_exact(x) for x in pts}
+    worst = None
+    witness = None
+    binding = None
+    for lam in pts:
+        for theta in pts:
+            prod = lam * theta
+            mid_l = phi_lower.eval_exact(prod) - theta * vl[lam]
+            diff_a = phi_assouad.eval_exact(prod) - va[theta]
+            clauses = (
+                ("lower-chain lower bound", vl[theta] - mid_l),
+                ("lower-chain upper bound", mid_l - va[theta]),
+                ("assouad-chain lower bound", theta * vl[lam] - diff_a),
+                ("assouad-chain upper bound", diff_a - theta * va[lam]),
+            )
+            for name, margin in clauses:
+                if worst is None or margin > worst:
+                    worst, witness, binding = margin, (float(lam), float(theta)), name
+    report = _report("JOINT", worst, witness, tolerance, binding=binding)
+    return report
+
+
+def oracle_spectra():
+    """Named spectra covering the shapes the integer kernel must handle."""
+    out = {}
+    for alpha in (F(1, 2), 1, 2):
+        a = F(alpha)
+        out[f"phi-{a}"] = make_phi(a, F(1, 2), a / 4)
+        out[f"psi-{a}"] = make_psi(a, F(1, 3), a / 7)
+        out[f"q-{a}"] = make_q(a, F(1, 2), F(2, 3), a / 8)
+    members = [make_phi(1, l, (1 - l) ** 4) for l in MINI_LAMBDAS]
+    out["min_family"] = min_family(members)
+    out["min_family-member"] = members[1]
+    out["thirds"] = spectrum_from_breakpoints(
+        (0, F(1, 3), F(2, 3), 1), (1, F(1, 2), F(1, 6), 0), 1)
+    out["sevenths"] = spectrum_from_breakpoints(
+        (0, F(2, 7), F(3, 7), F(5, 7), 1),
+        (F(3, 2), F(6, 7), F(6, 7), F(1, 7), 0), F(3, 2))
+    out["zero"] = zero_spectrum()
+    out["nonzero-at-one"] = spectrum_from_breakpoints(
+        (0, F(2, 5), 1), (F(3, 4), F(1, 5), F(1, 3)), 1)
+    return out
+
+
+ORACLE_SPECTRA = oracle_spectra()
+SMALL_GRIDS = (2, 3, 7, 32)
+# The Fraction oracle costs about a second per spectrum at these grids.
+LARGE_GRID_CASES = [
+    (name, 64)
+    for name in ("q-1", "psi-2", "min_family", "sevenths", "nonzero-at-one")
+] + [("q-1", 100), ("sevenths", 100)]
+
+
+class TestIntegerKernelMatchesFractionGrid:
+    """Whole reports of the integer kernel equal the Fraction grid loop."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_SPECTRA))
+    @pytest.mark.parametrize("grid", SMALL_GRIDS)
+    def test_small_grids(self, name, grid):
+        spec = ORACLE_SPECTRA[name]
+        for ineq in ("S", "W", "AQ"):
+            assert check_inequality(spec, ineq, grid) == \
+                fraction_grid_check(spec, ineq, grid)
+
+    @pytest.mark.parametrize("name,grid", LARGE_GRID_CASES)
+    def test_large_grids(self, name, grid):
+        spec = ORACLE_SPECTRA[name]
+        for ineq in ("S", "W", "AQ"):
+            assert check_inequality(spec, ineq, grid) == \
+                fraction_grid_check(spec, ineq, grid)
+
+    def test_tolerance_carried(self):
+        spec = ORACLE_SPECTRA["nonzero-at-one"]
+        for tol in (0.0, 0.25):
+            assert check_inequality(spec, "S", 7, tolerance=tol) == \
+                fraction_grid_check(spec, "S", 7, tolerance=tol)
+
+    @pytest.mark.parametrize("lower,assouad", [
+        ("zero", "phi-1"), ("phi-1", "zero"), ("q-1", "q-1"),
+        ("psi-1", "phi-1"), ("thirds", "min_family"),
+        ("nonzero-at-one", "sevenths"), ("phi-2", "psi-2"),
+    ])
+    @pytest.mark.parametrize("grid", (2, 7, 32))
+    def test_joint(self, lower, assouad, grid):
+        spec_l, spec_a = ORACLE_SPECTRA[lower], ORACLE_SPECTRA[assouad]
+        if spec_l.alpha != spec_a.alpha:
+            spec_a = spectrum_from_breakpoints(
+                spec_a.breakpoints,
+                [v * spec_l.alpha / spec_a.alpha for v in spec_a.values],
+                spec_l.alpha)
+        assert check_joint(spec_l, spec_a, grid) == \
+            fraction_grid_joint(spec_l, spec_a, grid)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.integers(1, 20), min_size=1, max_size=4, unique=True),
+        st.lists(st.integers(0, 12), min_size=6, max_size=6),
+        st.integers(1, 3),
+        st.integers(2, 24),
+    )
+    def test_random_spectra(self, knots, heights, alpha, grid):
+        bps = [F(0)] + sorted(F(k, 21) for k in knots) + [F(1)]
+        vals = [F(alpha * h, 12) for h in heights[:len(bps)]]
+        spec = spectrum_from_breakpoints(bps, vals, alpha)
+        other = make_psi(alpha, F(1, 3), F(alpha, 5))
+        for ineq in ("S", "W", "AQ"):
+            assert check_inequality(spec, ineq, grid) == \
+                fraction_grid_check(spec, ineq, grid)
+        assert check_joint(spec, other, grid) == \
+            fraction_grid_joint(spec, other, grid)
 
 
 class TestSerialization:
