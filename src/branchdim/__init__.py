@@ -13,7 +13,6 @@ from .errors import (
     DomainError,
     FormatError,
     ParameterError,
-    PreconditionError,
 )
 from .spectra import (
     FamilyParams,

@@ -169,8 +169,6 @@ class BranchFn:
     keep evaluating with ``certified=False`` so negative tests can run.
     """
 
-    variant = "abstract"
-
     def __init__(self, u_max: Rational, certified: bool):
         self.u_max = as_fraction(u_max)
         if self.u_max <= 0:
@@ -192,8 +190,6 @@ class BranchFn:
 class LiftBranch(BranchFn):
     """``f(u, v) = u * phi(v / u)``, the canonical lift of a spectrum."""
 
-    variant = "lift"
-
     def __init__(self, spec: Spectrum, u_max: Rational, certified: bool):
         super().__init__(u_max, certified)
         self.spec = spec
@@ -213,8 +209,6 @@ class StripEnvelopeBranch(BranchFn):
     up to ``z`` this lies in the certified class.
     """
 
-    variant = "strip_envelope"
-
     def __init__(self, profile: LipschitzProfile, z: Rational, alpha: Rational,
                  u_max: Rational):
         super().__init__(u_max, certified=True)
@@ -231,8 +225,6 @@ class StripEnvelopeBranch(BranchFn):
 
 class InfBranch(BranchFn):
     """Pointwise minimum of a finite family of branch functions."""
-
-    variant = "inf_family"
 
     def __init__(self, members, precondition: "PreconditionReport | None" = None):
         members = tuple(members)
@@ -262,8 +254,6 @@ class GridBranch(BranchFn):
     pessimistic convention the lower-spectrum estimator uses, so windowed
     limits work on grid-backed functions too.
     """
-
-    variant = "grid"
 
     def __init__(self, samples: dict[tuple[int, int], Rational], u_max: int,
                  certified: bool = False):
@@ -365,9 +355,38 @@ def max_lipschitz_minorant(samples, alpha: Rational) -> LipschitzProfile:
     return LipschitzProfile(tuple(u for u, _ in pts), tuple(out), a)
 
 
+def _scan_triples(f: BranchFn, alpha: Fraction, eta_at=None):
+    """Sample ``f`` once on the integer grid v <= u and scan every triple.
+
+    Returns ``(rows, (worst_s, wit_s), (worst_l, wit_l))``: ``rows[u][v]``
+    is ``f(u, v)``; ``worst_s`` is the largest superadditivity margin
+    ``f(u,w) + f(w,v) - f(u,v)`` and ``worst_l`` the largest Lipschitz
+    margin ``f(u,v) - f(w,v) - alpha*(u-w) - eta(u)`` over v <= w <= u,
+    each with the first triple (u, w, v) in scan order that reaches it.
+    ``eta_at`` defaults to zero.
+    """
+    top = int(f.u_max)
+    rows = [[f.value(u, v) for v in range(u + 1)] for u in range(top + 1)]
+    worst_s = worst_l = wit_s = wit_l = None
+    for u, f_u in enumerate(rows):
+        eta_u = 0 if eta_at is None else eta_at(u)
+        for w in range(u + 1):
+            f_w, f_uw = rows[w], f_u[w]
+            slack = alpha * (u - w) + eta_u
+            for v in range(w + 1):
+                drop = f_u[v] - f_w[v]
+                m_s = f_uw - drop
+                m_l = drop - slack
+                if worst_s is None or m_s > worst_s:
+                    worst_s, wit_s = m_s, (u, w, v)
+                if worst_l is None or m_l > worst_l:
+                    worst_l, wit_l = m_l, (u, w, v)
+    return rows, (worst_s, wit_s), (worst_l, wit_l)
+
+
 @dataclass(frozen=True)
 class PreconditionReport:
-    """Result of scanning regularization preconditions on the sample grid."""
+    """Result of scanning regularization preconditions on every integer triple."""
 
     passed: bool
     diagonal_witness: tuple[int, ...] | None
@@ -377,82 +396,49 @@ class PreconditionReport:
     lipschitz_witness: tuple[int, int, int] | None
 
 
-def _scan_preconditions(f: BranchFn, alpha: Fraction, eta: EtaBound,
-                        grid: int) -> PreconditionReport:
-    top = int(f.u_max)
-    us = list(range(0, top + 1, grid))
-    vals = {}
-    for u in us:
-        for v in us:
-            if v <= u:
-                vals[(u, v)] = f.value(u, v)
-    diag = next(((u,) for u in us if vals[(u, u)] != 0), None)
-    worst_s, wit_s = Fraction(0), None
-    worst_l, wit_l = Fraction(0), None
-    for u in us:
-        eta_u = eta.at(u)
-        for w in us:
-            if w > u:
-                break
-            for v in us:
-                if v > w:
-                    break
-                m_s = vals[(u, w)] + vals[(w, v)] - vals[(u, v)]
-                if m_s > worst_s:
-                    worst_s, wit_s = m_s, (u, w, v)
-                m_l = vals[(u, v)] - vals[(w, v)] - alpha * (u - w) - eta_u
-                if m_l > worst_l:
-                    worst_l, wit_l = m_l, (u, w, v)
-    return PreconditionReport(
-        passed=diag is None and worst_s == 0 and worst_l == 0,
-        diagonal_witness=diag,
-        superadd_violation=float(worst_s),
-        superadd_witness=wit_s,
-        lipschitz_violation=float(worst_l),
-        lipschitz_witness=wit_l,
-    )
-
-
-def regularize(f: BranchFn, alpha: Rational, eta: EtaBound,
-               grid: int = 1) -> InfBranch:
+def regularize(f: BranchFn, alpha: Rational, eta: EtaBound) -> InfBranch:
     """Replace ``f`` by a certified branch function within ``eta`` below it.
 
     For every integer base height ``z`` the one-variable slice
-    ``u -> f(u, z)`` is replaced by its maximal increasing alpha-Lipschitz
-    minorant and wrapped into a strip envelope; the output is the pointwise
-    infimum of those envelopes.  On the sample grid the output ``g``
-    satisfies ``f - eta <= g <= f`` and the certified-class properties
-    exactly, provided ``f`` satisfies the scanned preconditions (zero
-    diagonal, superadditivity, and u-Lipschitz up to ``eta``).  Violations
-    do not abort the construction: they are reported on the returned
-    object's ``precondition`` attribute and clear its ``certified`` flag,
-    so deliberately broken inputs can still be regularized and inspected.
+    ``u -> f(u, z)``, sampled at the integers z..u_max, is replaced by its
+    maximal increasing alpha-Lipschitz minorant and wrapped into a strip
+    envelope; the output is the pointwise infimum of those envelopes.  On
+    the integer grid the output ``g`` satisfies ``f - eta <= g <= f`` and
+    the certified-class properties exactly, provided ``f`` satisfies the
+    preconditions scanned on every integer triple (zero diagonal,
+    superadditivity, and u-Lipschitz up to ``eta``).  Violations do not
+    abort the construction: they are reported on the returned object's
+    ``precondition`` attribute and clear its ``certified`` flag, so
+    deliberately broken inputs can still be regularized and inspected.
     """
     a = as_fraction(alpha)
     if a < 0:
         raise ParameterError("alpha must be non-negative")
-    if grid < 1:
-        raise ParameterError("grid spacing must be a positive integer")
     eta.validate(f.u_max)
-    report = _scan_preconditions(f, a, eta, grid)
-    top = int(f.u_max)
+    rows, (worst_s, wit_s), (worst_l, wit_l) = _scan_triples(f, a, eta.at)
+    diag = next(((u,) for u, f_u in enumerate(rows) if f_u[u] != 0), None)
+    report = PreconditionReport(
+        passed=diag is None and worst_s <= 0 and worst_l <= 0,
+        diagonal_witness=diag,
+        superadd_violation=max(0.0, float(worst_s)),
+        superadd_witness=wit_s if worst_s > 0 else None,
+        lipschitz_violation=max(0.0, float(worst_l)),
+        lipschitz_witness=wit_l if worst_l > 0 else None,
+    )
     envelopes = []
-    for z in range(0, top + 1, grid):
-        knots = list(range(z, top + 1, grid))
-        if knots[-1] != top:
-            knots.append(top)
-        samples = [(u, f.value(u, z)) for u in knots]
+    for z in range(len(rows)):
+        samples = [(u, rows[u][z]) for u in range(z, len(rows))]
         minorant = max_lipschitz_minorant(samples, a)
         envelopes.append(StripEnvelopeBranch(minorant, z, a, f.u_max))
     return InfBranch(envelopes, precondition=report)
 
 
 def lambda_limit(f: BranchFn, theta: Rational, u_min: Rational,
-                 u_max: Rational | None = None, step: Rational = 1):
+                 u_max: Rational | None = None):
     """Finite-window surrogate of the normalized limit of ``f``.
 
-    Returns ``min f(u, theta*u) / u`` over ``u = u_min, u_min+step, ...``
-    up to ``u_max`` (default: the function's own bound).  For lift-backed
+    Returns ``min f(u, theta*u) / u`` over ``u = u_min, u_min+1, ...`` up
+    to ``u_max`` (default: the function's own bound).  For lift-backed
     functions this equals the spectrum value at ``theta`` at every ``u``,
     so the window does not matter; for grid samples it is a pessimistic
     finite-scale reading of the liminf.
@@ -462,25 +448,15 @@ def lambda_limit(f: BranchFn, theta: Rational, u_min: Rational,
         raise ParameterError("theta must lie in (0, 1]")
     lo = as_fraction(u_min)
     hi = f.u_max if u_max is None else as_fraction(u_max)
-    st = as_fraction(step)
-    if st <= 0 or lo <= 0 or lo > hi or hi > f.u_max:
-        raise ParameterError(
-            f"empty or out-of-range window [{u_min}, {u_max}] step {step}"
-        )
-    best = None
-    u = lo
-    while u <= hi:
-        val = f.value(u, th * u)
-        ratio = val / u
-        if best is None or ratio < best:
-            best = ratio
-        u += st
-    return best
+    if lo <= 0 or lo > hi or hi > f.u_max:
+        raise ParameterError(f"empty or out-of-range window [{u_min}, {u_max}]")
+    return min(f.value(u, th * u) / u
+               for u in (lo + k for k in range(int(hi - lo) + 1)))
 
 
 @dataclass(frozen=True)
 class BranchReport:
-    """Property-check outcome for a branch function on a sample grid."""
+    """Property-check outcome for a branch function on the integer grid."""
 
     passed: bool
     superadd_violation: float
@@ -490,34 +466,15 @@ class BranchReport:
     tolerance: float
 
 
-def check_branch(f: BranchFn, alpha: Rational, grid: int = 1,
+def check_branch(f: BranchFn, alpha: Rational,
                  tolerance: float = 0.0) -> BranchReport:
-    """Verify superadditivity and the u-Lipschitz bound on sampled triples.
+    """Verify superadditivity and the u-Lipschitz bound on every integer triple.
 
     Values are compared in Fractions, so a tolerance of zero is a
-    meaningful request.
+    meaningful request.  The witnesses are the first triples (u, w, v)
+    reaching the largest margins, whether or not those are violations.
     """
-    a = as_fraction(alpha)
-    if grid < 1:
-        raise ParameterError("grid spacing must be a positive integer")
-    top = int(f.u_max)
-    us = list(range(0, top + 1, grid))
-    vals = {(u, v): f.value(u, v) for u in us for v in us if v <= u}
-    worst_s, wit_s = None, None
-    worst_l, wit_l = None, None
-    for u in us:
-        for w in us:
-            if w > u:
-                break
-            for v in us:
-                if v > w:
-                    break
-                m_s = vals[(u, w)] + vals[(w, v)] - vals[(u, v)]
-                m_l = vals[(u, v)] - vals[(w, v)] - a * (u - w)
-                if worst_s is None or m_s > worst_s:
-                    worst_s, wit_s = m_s, (u, w, v)
-                if worst_l is None or m_l > worst_l:
-                    worst_l, wit_l = m_l, (u, w, v)
+    _, (worst_s, wit_s), (worst_l, wit_l) = _scan_triples(f, as_fraction(alpha))
     v_s = max(0.0, float(worst_s))
     v_l = max(0.0, float(worst_l))
     return BranchReport(
@@ -579,12 +536,11 @@ def equiv_compare(f: BranchFn, g: BranchFn, z: Rational) -> EquivReport:
 # ---------------------------------------------------------------------------
 # serialization
 
-def branch_to_csv(f: BranchFn, grid: int = 1) -> str:
+def branch_to_csv(f: BranchFn) -> str:
     """CSV ``u,v,value`` over the integer sample grid."""
     rows = ["u,v,value"]
-    top = int(f.u_max)
-    for u in range(0, top + 1, grid):
-        for v in range(0, u + 1, grid):
+    for u in range(int(f.u_max) + 1):
+        for v in range(u + 1):
             rows.append(f"{u},{v},{fmt_decimal(f.value(u, v))}")
     return "\n".join(rows) + "\n"
 

@@ -237,6 +237,9 @@ def run_make_set(cfg: dict, out_dir: str) -> int:
 
 
 def run_measure(cfg: dict, out_dir: str) -> int:
+    tables = cfg.get("tables", "lb")
+    if tables not in ("lb", "both"):
+        raise FormatError(f"tables must be lb or both, got {tables!r}")
     built, depth = _build_set(cfg)
     iset = enumerate_components(built, depth)
     u_max = _int(cfg, "u-max", depth)
@@ -250,7 +253,7 @@ def run_measure(cfg: dict, out_dir: str) -> int:
     _write(out_dir, "lower.csv", estimate_to_csv(lower))
     _write(out_dir, "monotone.csv", estimate_to_csv(monotonize_estimate(lower)))
 
-    if cfg.get("tables", "lb") == "both":
+    if tables == "both":
         ub = ub_table(iset, u_max, candidate_rule=rule)
         _write(out_dir, "ub.csv", table_to_csv(ub))
         assouad = estimate_assouad_spectrum(ub, thetas, window)

@@ -5,6 +5,8 @@ rationals stored as integers at a common power-of-two scale, packings use
 strictly-greater-than-4r gaps (so counts compose multiplicatively across
 scales), and coverings count level-u dyadic cubes.  Tables of per-cell
 counts feed the lower, monotone-lower, and Assouad spectrum estimators.
+The one-ball counts ``packing_count`` and ``covering_count`` are single
+calls into the two kernels that the tables run for every candidate center.
 
 Packings are internal: a packing of the ball B(x, R) at scale r is a set
 of points whose closed 2r-balls are pairwise disjoint (pairwise distance
@@ -121,12 +123,8 @@ class IntervalSet:
         return [(lo << shift, hi << shift) for lo, hi in self.pairs]
 
     def contains(self, x: Rational) -> bool:
-        x = as_fraction(x)
-        unit = 1 << self.scale
-        scaled = x * unit
-        los = [lo for lo, _ in self.pairs]
-        i = bisect_right(los, scaled) - 1
-        return i >= 0 and self.pairs[i][0] <= scaled <= self.pairs[i][1]
+        scaled = as_fraction(x) * (1 << self.scale)
+        return _Workspace(self, self.scale).locate(scaled)
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -134,69 +132,6 @@ class IntervalSet:
 
 # ---------------------------------------------------------------------------
 # exact counts
-
-def _greedy_pack(pieces, window_lo: int, window_hi: int, gap: int,
-                 cutoff: int | None = None) -> int:
-    """Greedy strict-gap packing over clipped integer pieces.
-
-    ``pieces`` are sorted disjoint (lo, hi) integers; the count is the
-    maximum number of points in the window-clipped union with pairwise
-    distances strictly greater than ``gap``.  Leftmost-greedy is optimal
-    in one dimension.  With ``cutoff`` the scan stops as soon as the
-    running count reaches it (useful when minimizing over candidates).
-    """
-    count = 0
-    px = pn = None  # position of the last placed point: px + pn epsilons
-    for lo, hi in pieces:
-        lo, hi = max(lo, window_lo), min(hi, window_hi)
-        if lo > hi:
-            continue
-        if px is None or px + gap < lo:
-            x, n = lo, 0
-        else:
-            x, n = px + gap, pn + 1
-        if n == 0:
-            span = hi - x
-            m = max(1, -(-span // gap)) if span >= 0 else 0
-        else:
-            span = hi - x
-            m = -(-span // gap) if span > 0 else 0
-        if m <= 0:
-            continue
-        count += m
-        px, pn = x + (m - 1) * gap, (n if n else 0) + (m - 1)
-        if cutoff is not None and count >= cutoff:
-            return count
-    return count
-
-
-def _cover_cubes(pieces, window_lo: int, window_hi: int, shift: int) -> int:
-    """Level-u cubes hit by the clipped union; ``shift`` = scale - u.
-
-    Nondegenerate clipped pieces [x, y] hit cubes floor(x) .. ceil(y)-1
-    in level-u units; a degenerate point hits the single cube floor(x).
-    Adjacent pieces may hit overlapping cube ranges, merged on the fly.
-    """
-    count = 0
-    unit = 1 << shift
-    last_hi = None  # last counted cube index
-    for lo, hi in pieces:
-        lo, hi = max(lo, window_lo), min(hi, window_hi)
-        if lo > hi:
-            continue
-        if lo == hi:
-            j_lo = j_hi = lo >> shift
-        else:
-            j_lo = lo >> shift
-            j_hi = ((hi + unit - 1) >> shift) - 1
-        if last_hi is not None and j_lo <= last_hi:
-            j_lo = last_hi + 1
-            if j_lo > j_hi:
-                continue
-        count += j_hi - j_lo + 1
-        last_hi = j_hi
-    return count
-
 
 class _Workspace:
     """The set rescaled once to a working scale fine enough for all cells."""
@@ -212,9 +147,94 @@ class _Workspace:
         last = bisect_right(self.starts, wr)
         return self.pieces[first:last]
 
-    def locate(self, x: int) -> bool:
+    def locate(self, x) -> bool:
+        """Is ``x`` (in workspace units, integer or exact rational) in the set?"""
         i = bisect_right(self.starts, x) - 1
         return i >= 0 and self.pieces[i][0] <= x <= self.pieces[i][1]
+
+
+def _greedy_pack(ws: _Workspace, c: int, rad: int, gap: int,
+                 cutoff: int | None = None) -> int:
+    """Internal strict-gap packing of the set in the ball B(c, rad).
+
+    All arguments are integers in workspace units.  Points keep pairwise
+    distances strictly greater than ``gap`` and lie within rad - gap/2 of
+    ``c``, so their closed gap/2-balls stay inside the ball; a negative
+    shrunken radius leaves only the center.  Leftmost-greedy over the
+    window-clipped pieces is optimal in one dimension.  The count is at
+    least 1; with ``cutoff`` the scan stops as soon as the running count
+    reaches it (useful when minimizing over candidates).
+    """
+    half = rad - gap // 2
+    if half < 0:
+        return 1
+    wl, wr = c - half, c + half
+    count = 0
+    px = pn = None  # position of the last placed point: px + pn epsilons
+    for lo, hi in ws.window_slice(wl, wr):
+        lo, hi = max(lo, wl), min(hi, wr)
+        if px is None or px + gap < lo:
+            x, n = lo, 0
+        else:
+            x, n = px + gap, pn + 1
+        span = hi - x
+        if n == 0:
+            m = max(1, -(-span // gap))  # clipping keeps span >= 0 here
+        else:
+            m = -(-span // gap) if span > 0 else 0
+        if m <= 0:
+            continue
+        count += m
+        px, pn = x + (m - 1) * gap, n + (m - 1)
+        if cutoff is not None and count >= cutoff:
+            return count
+    return max(1, count)
+
+
+def _cover_cubes(ws: _Workspace, c: int, rad: int, shift: int) -> int:
+    """Level-u cubes hit by the set in the ball B(c, rad); ``shift`` = scale - u.
+
+    Nondegenerate clipped pieces [x, y] hit cubes floor(x) .. ceil(y)-1
+    in level-u units; a degenerate point hits the single cube floor(x).
+    Adjacent pieces may hit overlapping cube ranges, merged on the fly.
+    """
+    wl, wr = c - rad, c + rad
+    count = 0
+    unit = 1 << shift
+    last_hi = None  # last counted cube index
+    for lo, hi in ws.window_slice(wl, wr):
+        lo, hi = max(lo, wl), min(hi, wr)
+        if lo == hi:
+            j_lo = j_hi = lo >> shift
+        else:
+            j_lo = lo >> shift
+            j_hi = ((hi + unit - 1) >> shift) - 1
+        if last_hi is not None and j_lo <= last_hi:
+            j_lo = last_hi + 1
+            if j_lo > j_hi:
+                continue
+        count += j_hi - j_lo + 1
+        last_hi = j_hi
+    return count
+
+
+def _ball(iset: IntervalSet, center: Rational, radius: Rational,
+          scale: int) -> tuple[_Workspace, int, int]:
+    """Workspace at least as fine as ``scale``, with the ball in its units.
+
+    The scale also grows to express the center and radius exactly; the
+    center must be a set point.
+    """
+    center, radius = as_fraction(center), as_fraction(radius)
+    if radius <= 0:
+        raise ParameterError(f"ball radius must be positive, got {radius}")
+    ws = _Workspace(iset, max(scale, _dyadic_exponent(center, "center"),
+                              _dyadic_exponent(radius, "radius")))
+    unit = 1 << ws.scale
+    c = int(center * unit)
+    if not ws.locate(c):
+        raise DomainError(f"center {center} lies outside the set")
+    return ws, c, int(radius * unit)
 
 
 def packing_count(iset: IntervalSet, center: Rational, radius: Rational,
@@ -227,47 +247,22 @@ def packing_count(iset: IntervalSet, center: Rational, radius: Rational,
     set point.  Greedy from the left is optimal in one dimension, and the
     dyadic inputs make the arithmetic exact.
     """
-    center, radius, r = as_fraction(center), as_fraction(radius), as_fraction(r)
+    r = as_fraction(r)
     if r <= 0:
         raise ParameterError(f"packing scale r must be positive, got {r}")
-    if radius <= 0:
-        raise ParameterError(f"ball radius must be positive, got {radius}")
-    gap = 4 * r
     # Two extra bits beyond r itself so the half-gap shrink by 2r stays
     # exact in integer units; a scale based on 4r would truncate it.
-    scale = max(_dyadic_exponent(r, "r") + 2, _dyadic_exponent(center, "center"),
-                _dyadic_exponent(radius, "radius"))
-    ws = _Workspace(iset, scale)
-    unit = 1 << ws.scale
-    c = int(center * unit)
-    if not ws.locate(c):
-        raise DomainError(f"center {center} lies outside the set")
-    g = int(gap * unit)
-    rad = int(radius * unit) - g // 2
-    if rad < 0:
-        return 1
-    return max(1, _greedy_pack(ws.window_slice(c - rad, c + rad),
-                               c - rad, c + rad, g))
+    ws, c, rad = _ball(iset, center, radius, _dyadic_exponent(r, "r") + 2)
+    return _greedy_pack(ws, c, rad, int(r * (4 << ws.scale)))
 
 
 def covering_count(iset: IntervalSet, center: Rational, radius: Rational,
                    u: int) -> int:
     """Level-u dyadic cubes hit by set ∩ B(center, radius)."""
-    center, radius = as_fraction(center), as_fraction(radius)
-    if radius <= 0:
-        raise ParameterError(f"ball radius must be positive, got {radius}")
     if u < 0:
         raise ParameterError(f"cube level must be non-negative, got {u}")
-    scale = max(u, _dyadic_exponent(center, "center"),
-                _dyadic_exponent(radius, "radius"))
-    ws = _Workspace(iset, scale)
-    unit = 1 << ws.scale
-    c = int(center * unit)
-    if not ws.locate(c):
-        raise DomainError(f"center {center} lies outside the set")
-    rad = int(radius * unit)
-    return _cover_cubes(ws.window_slice(c - rad, c + rad), c - rad, c + rad,
-                        ws.scale - u)
+    ws, c, rad = _ball(iset, center, radius, u)
+    return _cover_cubes(ws, c, rad, ws.scale - u)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +392,7 @@ def _table(iset: IntervalSet, u_max: int, candidate_rule: str, kind: str,
                 raise ParameterError(f"cell ({u}, {v}) outside the grid")
     ws = _Workspace(iset, u_max + 3)
     candidates = _candidates_per_level(ws, candidate_rule)
-    hull_lo, hull_hi = ws.pieces[0][0], ws.pieces[-1][1]
+    width = ws.pieces[-1][1] - ws.pieces[0][0]
     by_v: dict[int, list[int]] = {}
     for (u, v) in wanted:
         by_v.setdefault(v, []).append(u)
@@ -406,33 +401,27 @@ def _table(iset: IntervalSet, u_max: int, candidate_rule: str, kind: str,
         cands = candidates(v)
         rad = 1 << (ws.scale - v)
         for u in sorted(us):
+            if kind == "ub" and u == v:
+                # A radius-r ball is covered by one radius-r ball (itself);
+                # the cube surrogate would say 2 or 3 here and break the
+                # zero diagonal shared by both kinds.
+                out[(u, v)] = 1
+                continue
             gap = 1 << (ws.scale - u + 2)
-            if kind == "lb":
-                eff = rad - gap // 2
-                if eff < 0:
-                    out[(u, v)] = 1
-                    continue
-            else:
-                if u == v:
-                    # A radius-r ball is covered by one radius-r ball
-                    # (itself); the cube surrogate would say 2 or 3 here
-                    # and break the zero diagonal shared by both kinds.
-                    out[(u, v)] = 1
-                    continue
-                eff = rad
-            full_cover = eff >= hull_hi - hull_lo
+            # Once the radius exceeds the hull width by the packing gap (a
+            # packing window is shrunk by half of it), every candidate's
+            # window holds the whole set, so the first count is the answer.
+            full_cover = rad >= width + (gap if kind == "lb" else 0)
             best = None
             for c in cands:
-                wl, wr = c - eff, c + eff
-                pieces = ws.window_slice(wl, wr)
                 if kind == "lb":
-                    got = max(1, _greedy_pack(pieces, wl, wr, gap, cutoff=best))
+                    got = _greedy_pack(ws, c, rad, gap, cutoff=best)
                     if best is None or got < best:
                         best = got
                     if best <= 1 or full_cover:
                         break
                 else:
-                    got = _cover_cubes(pieces, wl, wr, ws.scale - u)
+                    got = _cover_cubes(ws, c, rad, ws.scale - u)
                     if best is None or got > best:
                         best = got
                     if full_cover:
@@ -483,13 +472,6 @@ class SpectrumEstimate:
     values: tuple
     window: tuple
     warning: bool = False
-
-    def value_at(self, theta: Rational) -> float:
-        t = as_fraction(theta)
-        for th, val in zip(self.thetas, self.values):
-            if th == t:
-                return val
-        raise ParameterError(f"theta {theta} not on the estimate grid")
 
     def dimensions(self) -> list[float]:
         """values divided by (1-theta); infinity at theta = 1."""

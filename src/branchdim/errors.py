@@ -18,17 +18,5 @@ class DomainError(BranchDimError):
     """An evaluation point lies outside the object's domain."""
 
 
-class PreconditionError(BranchDimError):
-    """A documented precondition failed on the supplied data.
-
-    Carries an optional ``witness`` (grid point or triple) showing where
-    the check failed, so callers can report it without re-running the scan.
-    """
-
-    def __init__(self, message: str, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
-
 class FormatError(BranchDimError):
     """Serialized input (config file, spectrum file, CSV) failed to parse."""

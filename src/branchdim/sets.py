@@ -81,8 +81,7 @@ class DyadicSet:
 
     def __init__(self, d: int, depth: int, scheme: str,
                  runs: list[tuple[int, int]] | None = None,
-                 levels: list[list[tuple[int, ...]]] | None = None,
-                 profile: SubdivisionProfile | None = None):
+                 levels: list[list[tuple[int, ...]]] | None = None):
         if (runs is None) == (levels is None):
             raise ParameterError("provide exactly one of runs/levels")
         self.d = d
@@ -90,7 +89,6 @@ class DyadicSet:
         self.scheme = scheme
         self.runs = runs
         self.levels = levels
-        self.profile = profile
 
     # -- one-dimensional run helpers ------------------------------------
 
@@ -242,7 +240,7 @@ def build_moran(profile: SubdivisionProfile, depth: int,
                 runs = [(2 * s, 2 * e) for s, e in runs]
             else:
                 runs = [(2 * i, 2 * i + 1) for s, e in runs for i in range(s, e)]
-        return DyadicSet(1, depth, child_rule, runs=runs, profile=profile)
+        return DyadicSet(1, depth, child_rule, runs=runs)
 
     levels: list[list[tuple[int, ...]]] = [[(0,) * d]]
     total = 1
@@ -265,7 +263,7 @@ def build_moran(profile: SubdivisionProfile, depth: int,
                 nxt.append(tuple(b + o for b, o in zip(base, off)))
         nxt.sort()
         levels.append(nxt)
-    return DyadicSet(d, depth, child_rule, levels=levels, profile=profile)
+    return DyadicSet(d, depth, child_rule, levels=levels)
 
 
 def geometric_schedule(ratio: int, limit: Rational, start: Rational = 1) -> list[Fraction]:

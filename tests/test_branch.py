@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from branchdim.branch import (
+    BranchReport,
     EtaBound,
     GridBranch,
     LipschitzProfile,
@@ -17,6 +18,7 @@ from branchdim.branch import (
     lambda_limit,
     lift,
     max_lipschitz_minorant,
+    PreconditionReport,
     profile_to_csv,
     branch_to_csv,
     regularize,
@@ -348,3 +350,231 @@ class TestSerialization:
     def test_profile_csv_exact(self):
         g = LipschitzProfile((F(0), F(3), F(13)), (F(0), F(0), F(10)), F(1))
         assert profile_to_csv(g) == "u,value\n0,0\n3,0\n13,10\n"
+
+
+# ---------------------------------------------------------------------------
+# The separate scans that the single triple scan replaced, kept as oracles.
+
+def oracle_preconditions(f, alpha, eta):
+    """Regularization preconditions by the former dedicated triple loop."""
+    alpha = F(alpha)
+    top = int(f.u_max)
+    us = list(range(0, top + 1))
+    vals = {}
+    for u in us:
+        for v in us:
+            if v <= u:
+                vals[(u, v)] = f.value(u, v)
+    diag = next(((u,) for u in us if vals[(u, u)] != 0), None)
+    worst_s, wit_s = F(0), None
+    worst_l, wit_l = F(0), None
+    for u in us:
+        eta_u = eta.at(u)
+        for w in us:
+            if w > u:
+                break
+            for v in us:
+                if v > w:
+                    break
+                m_s = vals[(u, w)] + vals[(w, v)] - vals[(u, v)]
+                if m_s > worst_s:
+                    worst_s, wit_s = m_s, (u, w, v)
+                m_l = vals[(u, v)] - vals[(w, v)] - alpha * (u - w) - eta_u
+                if m_l > worst_l:
+                    worst_l, wit_l = m_l, (u, w, v)
+    return PreconditionReport(
+        passed=diag is None and worst_s == 0 and worst_l == 0,
+        diagonal_witness=diag,
+        superadd_violation=float(worst_s),
+        superadd_witness=wit_s,
+        lipschitz_violation=float(worst_l),
+        lipschitz_witness=wit_l,
+    )
+
+
+def oracle_minorants(f, alpha):
+    """The per-height minorants regularize builds, each slice sampled anew."""
+    top = int(f.u_max)
+    return [
+        max_lipschitz_minorant([(u, f.value(u, z)) for u in range(z, top + 1)],
+                               alpha)
+        for z in range(top + 1)
+    ]
+
+
+def regularize_outcome(f, alpha, eta):
+    """The precondition report and minorants, or the error raised."""
+    try:
+        reg = regularize(f, alpha, eta)
+    except ParameterError as exc:
+        return str(exc)
+    return reg.precondition, [m.profile for m in reg.members]
+
+
+def oracle_regularize_outcome(f, alpha, eta):
+    try:
+        return oracle_preconditions(f, alpha, eta), oracle_minorants(f, alpha)
+    except ParameterError as exc:
+        return str(exc)
+
+
+def oracle_check_branch(f, alpha, tolerance=0.0):
+    """check_branch by its former own triple loop."""
+    a = F(alpha)
+    top = int(f.u_max)
+    us = list(range(0, top + 1))
+    vals = {(u, v): f.value(u, v) for u in us for v in us if v <= u}
+    worst_s, wit_s = None, None
+    worst_l, wit_l = None, None
+    for u in us:
+        for w in us:
+            if w > u:
+                break
+            for v in us:
+                if v > w:
+                    break
+                m_s = vals[(u, w)] + vals[(w, v)] - vals[(u, v)]
+                m_l = vals[(u, v)] - vals[(w, v)] - a * (u - w)
+                if worst_s is None or m_s > worst_s:
+                    worst_s, wit_s = m_s, (u, w, v)
+                if worst_l is None or m_l > worst_l:
+                    worst_l, wit_l = m_l, (u, w, v)
+    v_s = max(0.0, float(worst_s))
+    v_l = max(0.0, float(worst_l))
+    return BranchReport(
+        passed=v_s <= tolerance and v_l <= tolerance,
+        superadd_violation=v_s,
+        superadd_witness=wit_s,
+        lipschitz_violation=v_l,
+        lipschitz_witness=wit_l,
+        tolerance=tolerance,
+    )
+
+
+def oracle_lambda_limit(f, theta, u_min, u_max, step=1):
+    """lambda_limit by its former stepping loop."""
+    th, u, hi, st_ = F(theta), F(u_min), F(u_max), F(step)
+    best = None
+    while u <= hi:
+        ratio = f.value(u, th * u) / u
+        if best is None or ratio < best:
+            best = ratio
+        u += st_
+    return best
+
+
+def _two_jumps(u):
+    return (1 if u >= 4 else 0) + (1 if u >= 9 else 0)
+
+
+def _perturbed_lift(u_max=14):
+    L = lift(make_psi(1, F(1, 2), F(1, 4)), u_max)
+    return GridBranch.from_function(
+        lambda u, v: L.value(u, v) + _two_jumps(u) - _two_jumps(v), u_max
+    )
+
+
+SCAN_CASES = {
+    "phi": lambda: lift(make_phi(1, F(1, 2), F(1, 4)), 12),
+    "psi": lambda: lift(make_psi(1, F(1, 2), F(1, 4)), 12),
+    "q": lambda: lift(make_q(1, F(1, 2), F(2, 3), F(1, 4)), 12),
+    "unit_jump": lambda: GridBranch.from_function(
+        lambda u, v: F(0) if u == v else F(u - v + 1), 10),
+    "zero": lambda: GridBranch.from_function(lambda u, v: F(0), 8),
+    "nonzero_diagonal": lambda: GridBranch.from_function(
+        lambda u, v: F(u + v, 3), 7),
+    "constant_one": lambda: GridBranch.from_function(lambda u, v: F(1), 5),
+    "perturbed_lift": _perturbed_lift,
+}
+
+# Too small for the unit jump at u = 4, enough for the one at u = 9.
+PROFILE_ETA = EtaBound(profile=LipschitzProfile(
+    (F(0), F(5), F(10), F(14)), (F(0), F(0), F(1), F(1)), F(1)))
+
+
+@st.composite
+def grid_branches(draw):
+    """Random non-negative integer-grid samples.
+
+    The diagonal is zero everywhere, only at the origin (which regularize
+    needs), or random.
+    """
+    u_max = draw(st.integers(1, 12))
+    den = draw(st.sampled_from([1, 2, 3]))
+    zeros = draw(st.sampled_from(["diagonal", "origin", "none"]))
+    cells = [(u, v) for u in range(u_max + 1) for v in range(u + 1)]
+    nums = draw(st.lists(st.integers(0, 12), min_size=len(cells),
+                         max_size=len(cells)))
+    samples = {}
+    for (u, v), n in zip(cells, nums):
+        zero = (zeros == "diagonal" and u == v) or (zeros == "origin" and u == 0)
+        samples[(u, v)] = F(0) if zero else F(n, den)
+    return GridBranch(samples, u_max)
+
+
+class TestTripleScanMatchesOracle:
+    """One scan serves regularize and check_branch; reports stay the same."""
+
+    @pytest.mark.parametrize("name", sorted(SCAN_CASES))
+    @pytest.mark.parametrize("alpha", [F(1, 2), 1, 2])
+    def test_check_branch(self, name, alpha):
+        f = SCAN_CASES[name]()
+        for tolerance in (0.0, 0.5):
+            assert (check_branch(f, alpha, tolerance=tolerance)
+                    == oracle_check_branch(f, alpha, tolerance))
+
+    @pytest.mark.parametrize("name", sorted(SCAN_CASES))
+    @pytest.mark.parametrize("eta", [EtaBound.const(0, threshold=2),
+                                     EtaBound.const(1, threshold=2),
+                                     EtaBound.const(2, threshold=2)])
+    def test_regularize(self, name, eta):
+        f = SCAN_CASES[name]()
+        assert regularize_outcome(f, 1, eta) == oracle_regularize_outcome(f, 1, eta)
+
+    def test_regularized_output_checks_the_same(self):
+        reg = regularize(_perturbed_lift(), 1, EtaBound.const(2))
+        assert check_branch(reg, 1) == oracle_check_branch(reg, 1)
+
+    def test_nonzero_origin_still_raises(self):
+        f = SCAN_CASES["constant_one"]()
+        eta = EtaBound.const(0)
+        assert regularize_outcome(f, 1, eta) == oracle_regularize_outcome(f, 1, eta)
+        with pytest.raises(ParameterError, match="vanish at 0"):
+            regularize(f, 1, eta)
+
+    @pytest.mark.parametrize("eta", [EtaBound.const(0), EtaBound.const(1),
+                                     EtaBound.const(2), PROFILE_ETA])
+    def test_perturbed_lift_under_each_eta(self, eta):
+        f = _perturbed_lift()
+        outcome = regularize_outcome(f, 1, eta)
+        assert outcome == oracle_regularize_outcome(f, 1, eta)
+        report = outcome[0]
+        assert report.passed == (eta.constant in (1, 2))
+        assert (report.lipschitz_witness is None) == report.passed
+
+    @settings(max_examples=80, deadline=None)
+    @given(grid_branches(), st.sampled_from([F(1, 2), 1, 2]),
+           st.integers(0, 2))
+    def test_random_grid_samples(self, f, alpha, c):
+        eta = EtaBound.const(c, threshold=3)
+        assert (regularize_outcome(f, alpha, eta)
+                == oracle_regularize_outcome(f, alpha, eta))
+        assert check_branch(f, alpha) == oracle_check_branch(f, alpha)
+
+    @settings(max_examples=40, deadline=None)
+    @given(grid_branches(), st.integers(1, 12), st.integers(1, 12))
+    def test_lambda_limit_on_grid_samples(self, f, theta_num, u_min):
+        theta = F(theta_num, 12)
+        if u_min > f.u_max:
+            return
+        assert (lambda_limit(f, theta, u_min)
+                == oracle_lambda_limit(f, theta, u_min, f.u_max))
+
+    @pytest.mark.parametrize("u_min, u_max", [(F(1, 2), 12), (F(7, 3), F(23, 2)),
+                                              (5, F(11, 2)), (3, 3)])
+    def test_lambda_limit_fractional_window(self, u_min, u_max):
+        f = lift(make_q(1, F(1, 2), F(2, 3), F(1, 4)), 12)
+        for i in range(1, 13):
+            theta = F(i, 12)
+            assert (lambda_limit(f, theta, u_min, u_max)
+                    == oracle_lambda_limit(f, theta, u_min, u_max))

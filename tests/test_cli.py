@@ -1,5 +1,7 @@
 """End-to-end tests for the command-line pipeline and its exit codes."""
 
+import hashlib
+
 import pytest
 
 from branchdim.cli import EXAMPLE_CONFIGS, main, parse_config
@@ -110,6 +112,13 @@ class TestParseFailures:
         assert code == 2
         assert not (out / "set.csv").exists()
 
+    @pytest.mark.parametrize("value", ["ub", "lbb", ""])
+    def test_unknown_tables_value(self, tmp_path, value):
+        code, out = run(tmp_path, "command=measure\nkind=moran\ndepth=6\n"
+                                  f"tables={value}\n")
+        assert code == 2
+        assert not (out / "lb.csv").exists()
+
     def test_spectrum_file_missing(self, tmp_path):
         code, _ = run(tmp_path, "command=check\nspectrum-file=missing.txt\n")
         assert code == 2
@@ -215,3 +224,30 @@ class TestExamples:
         for cfg in configs:
             out = tmp_path / ("out-" + cfg.stem)
             assert main(["--config", str(cfg), "--out", str(out)]) == 0
+
+    def test_example_csv_bytes_golden(self, tmp_path):
+        # SHA-256 of the bytes the measure and verify examples wrote before
+        # the tables and the one-ball counts shared their kernels.
+        golden = {
+            "moran-half": {
+                "assouad.csv": "507f8acd0100bffec2e034c829e03d50f71aede5426d79a2378b06ae258e1c14",
+                "lb.csv": "94cceaa12a3fc39b89e526b90ba4ce882adc91bbef78e478dc343fb123cf6dda",
+                "lower.csv": "a1ef633bf48526858c836af973e50a6f9bb17bdbbd2e98a83098749bdda12c03",
+                "monotone.csv": "a7295f4779c7dedb5df3a8bbdbdd1123233ca1083665876bd244bc2e92959111",
+                "ub.csv": "69167eab27f7577b96b76a673b3be3e2bc7a6f79589232ec0e37250d5e9a27e9",
+                "uniformity.csv": "53f457138a77d3d0022755e11029d52e5dd8150188aad7ebb821f86bdde071a4",
+            },
+            "verify-zero": {
+                "verify.csv": "20209bf84a97d0faaf27543446b4f28952e065c462f9f9dd990c3db53ee49729",
+            },
+        }
+        ex_dir = tmp_path / "examples"
+        assert main(["--command", "examples", "--out", str(ex_dir)]) == 0
+        for stem, digests in golden.items():
+            out = tmp_path / stem
+            assert main(["--config", str(ex_dir / f"{stem}.cfg"),
+                         "--out", str(out)]) == 0
+            assert sorted(p.name for p in out.iterdir()) == sorted(digests)
+            for name, digest in digests.items():
+                got = hashlib.sha256((out / name).read_bytes()).hexdigest()
+                assert got == digest, (stem, name)

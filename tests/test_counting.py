@@ -1,7 +1,7 @@
 """Unit tests for exact counts, tables, and spectrum estimators."""
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction as F
 
 import pytest
@@ -26,6 +26,7 @@ from branchdim.counting import (
     ub_table,
     uniformity_report_to_csv,
     _candidates_per_level,
+    _dyadic_exponent,
     _Workspace,
 )
 from branchdim.errors import DomainError, ParameterError
@@ -660,3 +661,275 @@ class TestSerialization:
         a = table_to_csv(lb_table(TWO_PIECE, 6))
         b = table_to_csv(lb_table(TWO_PIECE, 6))
         assert a == b
+
+
+# ---------------------------------------------------------------------------
+# The ball counts, table loop and membership test as they were before the
+# tables and the one-ball counts shared the two window-owning kernels,
+# kept as oracles.
+
+def oracle_greedy_pack(pieces, window_lo, window_hi, gap, cutoff=None):
+    count = 0
+    px = pn = None
+    for lo, hi in pieces:
+        lo, hi = max(lo, window_lo), min(hi, window_hi)
+        if lo > hi:
+            continue
+        if px is None or px + gap < lo:
+            x, n = lo, 0
+        else:
+            x, n = px + gap, pn + 1
+        if n == 0:
+            span = hi - x
+            m = max(1, -(-span // gap)) if span >= 0 else 0
+        else:
+            span = hi - x
+            m = -(-span // gap) if span > 0 else 0
+        if m <= 0:
+            continue
+        count += m
+        px, pn = x + (m - 1) * gap, (n if n else 0) + (m - 1)
+        if cutoff is not None and count >= cutoff:
+            return count
+    return count
+
+
+def oracle_cover_cubes(pieces, window_lo, window_hi, shift):
+    count = 0
+    unit = 1 << shift
+    last_hi = None
+    for lo, hi in pieces:
+        lo, hi = max(lo, window_lo), min(hi, window_hi)
+        if lo > hi:
+            continue
+        if lo == hi:
+            j_lo = j_hi = lo >> shift
+        else:
+            j_lo = lo >> shift
+            j_hi = ((hi + unit - 1) >> shift) - 1
+        if last_hi is not None and j_lo <= last_hi:
+            j_lo = last_hi + 1
+            if j_lo > j_hi:
+                continue
+        count += j_hi - j_lo + 1
+        last_hi = j_hi
+    return count
+
+
+def oracle_packing_count(iset, center, radius, r):
+    center, radius, r = as_f(center), as_f(radius), as_f(r)
+    if r <= 0:
+        raise ParameterError(f"packing scale r must be positive, got {r}")
+    if radius <= 0:
+        raise ParameterError(f"ball radius must be positive, got {radius}")
+    gap = 4 * r
+    scale = max(_dyadic_exponent(r, "r") + 2, _dyadic_exponent(center, "center"),
+                _dyadic_exponent(radius, "radius"))
+    ws = _Workspace(iset, scale)
+    unit = 1 << ws.scale
+    c = int(center * unit)
+    if not ws.locate(c):
+        raise DomainError(f"center {center} lies outside the set")
+    g = int(gap * unit)
+    rad = int(radius * unit) - g // 2
+    if rad < 0:
+        return 1
+    return max(1, oracle_greedy_pack(ws.window_slice(c - rad, c + rad),
+                                     c - rad, c + rad, g))
+
+
+def oracle_covering_count(iset, center, radius, u):
+    center, radius = as_f(center), as_f(radius)
+    if radius <= 0:
+        raise ParameterError(f"ball radius must be positive, got {radius}")
+    if u < 0:
+        raise ParameterError(f"cube level must be non-negative, got {u}")
+    scale = max(u, _dyadic_exponent(center, "center"),
+                _dyadic_exponent(radius, "radius"))
+    ws = _Workspace(iset, scale)
+    unit = 1 << ws.scale
+    c = int(center * unit)
+    if not ws.locate(c):
+        raise DomainError(f"center {center} lies outside the set")
+    rad = int(radius * unit)
+    return oracle_cover_cubes(ws.window_slice(c - rad, c + rad), c - rad, c + rad,
+                              ws.scale - u)
+
+
+def oracle_table_cells(iset, u_max, candidate_rule, kind):
+    ws = _Workspace(iset, u_max + 3)
+    candidates = _candidates_per_level(ws, candidate_rule)
+    hull_lo, hull_hi = ws.pieces[0][0], ws.pieces[-1][1]
+    out = {}
+    for v in range(u_max + 1):
+        cands = candidates(v)
+        rad = 1 << (ws.scale - v)
+        for u in range(v, u_max + 1):
+            gap = 1 << (ws.scale - u + 2)
+            if kind == "lb":
+                eff = rad - gap // 2
+                if eff < 0:
+                    out[(u, v)] = 1
+                    continue
+            else:
+                if u == v:
+                    out[(u, v)] = 1
+                    continue
+                eff = rad
+            full_cover = eff >= hull_hi - hull_lo
+            best = None
+            for c in cands:
+                wl, wr = c - eff, c + eff
+                pieces = ws.window_slice(wl, wr)
+                if kind == "lb":
+                    got = max(1, oracle_greedy_pack(pieces, wl, wr, gap, cutoff=best))
+                    if best is None or got < best:
+                        best = got
+                    if best <= 1 or full_cover:
+                        break
+                else:
+                    got = oracle_cover_cubes(pieces, wl, wr, ws.scale - u)
+                    if best is None or got > best:
+                        best = got
+                    if full_cover:
+                        break
+            out[(u, v)] = best
+    return out
+
+
+def oracle_contains(iset, x):
+    x = as_f(x)
+    scaled = x * (1 << iset.scale)
+    los = [lo for lo, _ in iset.pairs]
+    i = bisect_right(los, scaled) - 1
+    return i >= 0 and iset.pairs[i][0] <= scaled <= iset.pairs[i][1]
+
+
+def outcome(fn, *args):
+    """The result, or the type and message of the toolkit error raised."""
+    try:
+        return fn(*args)
+    except (DomainError, ParameterError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@st.composite
+def small_dyadic_sets(draw):
+    """Random runs in [0, 1] at scale <= 4; width 0 gives isolated points."""
+    scale = draw(st.integers(0, 4))
+    top = 1 << scale
+    runs = draw(st.lists(st.tuples(st.integers(0, top), st.integers(0, 3)),
+                         min_size=1, max_size=6))
+    return IntervalSet([(s, min(top, s + w)) for s, w in runs], scale=scale)
+
+
+NARROW = IntervalSet([(F(1, 4), F(5, 16))])  # hull far narrower than 1
+NARROW_PAIR = IntervalSet([(F(3, 8), F(3, 8)), (F(7, 16), F(1, 2))])
+
+
+def check_counts_at_endpoints(iset):
+    centers = sorted({x for pair in iset.intervals() for x in pair})
+    radii = [F(1, 2 ** k) for k in range(iset.scale + 3)] + [F(3, 64), F(2)]
+    scales = [F(1, 2 ** k) for k in range(1, iset.scale + 5)] + [F(3, 64)]
+    for c in centers:
+        for radius in radii:
+            for r in scales:
+                assert (outcome(packing_count, iset, c, radius, r)
+                        == outcome(oracle_packing_count, iset, c, radius, r))
+            for u in range(iset.scale + 4):
+                assert (outcome(covering_count, iset, c, radius, u)
+                        == outcome(oracle_covering_count, iset, c, radius, u))
+
+
+class TestBallCountsMatchOracle:
+    """One-ball counts through the table kernels equal the former counts."""
+
+    @pytest.mark.parametrize("iset", [FULL, TWO_PIECE, POINT, NARROW, NARROW_PAIR,
+                                      alternating_moran(5)],
+                             ids=["full", "two-piece", "point", "narrow",
+                                  "narrow-pair", "moran-5"])
+    def test_every_endpoint_as_center(self, iset):
+        check_counts_at_endpoints(iset)
+
+    @settings(max_examples=30, deadline=None)
+    @given(small_dyadic_sets())
+    def test_random_sets(self, iset):
+        check_counts_at_endpoints(iset)
+
+    @pytest.mark.parametrize("center,radius,r", [
+        (F(1, 2), F(1, 64), F(1, 16)),   # radius - 2r < 0
+        (F(1, 2), F(1, 16), F(1, 16)),   # radius - 2r < 0
+        (F(1, 2), F(1, 8), F(1, 16)),    # radius - 2r == 0
+        (F(0), F(1), F(3, 64)),          # r not a power of two
+        (F(1, 4), F(3, 8), F(3, 64)),
+        (F(1, 2), F(1, 4), F(3, 128)),
+    ])
+    def test_shrunken_radius_and_odd_scales(self, center, radius, r):
+        for iset in (FULL, TWO_PIECE, alternating_moran(6)):
+            assert (outcome(packing_count, iset, center, radius, r)
+                    == outcome(oracle_packing_count, iset, center, radius, r))
+
+    @pytest.mark.parametrize("args", [
+        (TWO_PIECE, F(3, 4), F(1, 4), F(1, 64)),   # center outside the set
+        (FULL, F(1, 3), F(1, 4), F(1, 64)),        # center not dyadic
+        (FULL, 0, -1, F(1, 8)),                    # bad radius
+        (FULL, 0, 1, 0),                           # bad scale
+        (FULL, 0, F(1, 3), F(1, 8)),               # radius not dyadic
+    ])
+    def test_errors(self, args):
+        # One fault per call: with several, the first one reported may differ.
+        assert outcome(packing_count, *args) == outcome(oracle_packing_count, *args)
+        iset, center, radius, _ = args
+        for u in (0, 3):
+            assert (outcome(covering_count, iset, center, radius, u)
+                    == outcome(oracle_covering_count, iset, center, radius, u))
+
+    def test_negative_level(self):
+        assert (outcome(covering_count, FULL, 0, 1, -1)
+                == outcome(oracle_covering_count, FULL, 0, 1, -1))
+
+
+class TestTablesMatchOracle:
+    """Tables calling the shared kernels per candidate equal the former loop."""
+
+    @pytest.mark.parametrize("rule", ["endpoints", "dense", "sparse"])
+    @pytest.mark.parametrize("kind", ["lb", "ub"])
+    @pytest.mark.parametrize("name,iset,u_max", [
+        ("full", FULL, 6),
+        ("two-piece", TWO_PIECE, 6),
+        ("point", POINT, 4),
+        ("narrow", NARROW, 7),
+        ("narrow-pair", NARROW_PAIR, 7),
+        ("moran-8", alternating_moran(8), 8),
+    ])
+    def test_fixed_sets(self, rule, kind, name, iset, u_max):
+        table = (lb_table if kind == "lb" else ub_table)(iset, u_max, rule)
+        assert table.cells == oracle_table_cells(iset, u_max, rule, kind)
+
+    @settings(max_examples=30, deadline=None)
+    @given(small_dyadic_sets(), st.integers(0, 6))
+    def test_random_sets(self, iset, u_max):
+        for rule in ("endpoints", "dense", "sparse"):
+            assert (lb_table(iset, u_max, rule).cells
+                    == oracle_table_cells(iset, u_max, rule, "lb"))
+            assert (ub_table(iset, u_max, rule).cells
+                    == oracle_table_cells(iset, u_max, rule, "ub"))
+
+
+class TestContainsMatchesOracle:
+    XS = ([F(k, 64) for k in range(-8, 73)] + [F(k, 3) for k in range(-1, 5)]
+          + [F(k, 7) for k in range(8)] + [F(5, 17), 0.25, 2])
+
+    @pytest.mark.parametrize("iset", [FULL, TWO_PIECE, POINT, NARROW, NARROW_PAIR,
+                                      alternating_moran(6)],
+                             ids=["full", "two-piece", "point", "narrow",
+                                  "narrow-pair", "moran-6"])
+    def test_dyadic_and_non_dyadic_points(self, iset):
+        for x in self.XS:
+            assert iset.contains(x) == oracle_contains(iset, x), x
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_dyadic_sets(), st.integers(-8, 40), st.sampled_from([1, 3, 5, 16, 32]))
+    def test_random_sets(self, iset, num, den):
+        x = F(num, den)
+        assert iset.contains(x) == oracle_contains(iset, x)
