@@ -282,7 +282,6 @@ class CountTable:
     u_max: int
     cells: dict
     candidate_rule: str
-    label: str = ""
 
     def count(self, u: int, v: int) -> int:
         try:
@@ -380,7 +379,7 @@ def _candidates_per_level(ws: _Workspace, rule: str):
 
 
 def _table(iset: IntervalSet, u_max: int, candidate_rule: str, kind: str,
-           cells, label: str) -> CountTable:
+           cells) -> CountTable:
     if u_max < 0:
         raise ParameterError("u_max must be non-negative")
     if cells is None:
@@ -428,11 +427,11 @@ def _table(iset: IntervalSet, u_max: int, candidate_rule: str, kind: str,
                         break
             out[(u, v)] = best
     return CountTable(kind=kind, u_max=u_max, cells=out,
-                      candidate_rule=candidate_rule, label=label)
+                      candidate_rule=candidate_rule)
 
 
 def lb_table(iset: IntervalSet, u_max: int, candidate_rule: str = "dense",
-             cells=None, label: str = "") -> CountTable:
+             cells=None) -> CountTable:
     """Worst-case packing counts: min over ball-center candidates.
 
     For each grid cell (u, v) the value is the minimum over candidate
@@ -441,18 +440,18 @@ def lb_table(iset: IntervalSet, u_max: int, candidate_rule: str = "dense",
     (everything else stays absent), which keeps very deep measurements
     affordable.
     """
-    return _table(iset, u_max, candidate_rule, "lb", cells, label)
+    return _table(iset, u_max, candidate_rule, "lb", cells)
 
 
 def ub_table(iset: IntervalSet, u_max: int, candidate_rule: str = "dense",
-             cells=None, label: str = "") -> CountTable:
+             cells=None) -> CountTable:
     """Best-case covering counts: max over ball-center candidates.
 
     Diagonal cells (u, u) are pinned to the exact value 1: any radius-r
     ball is covered by itself, while the cube surrogate would report the
     2 or 3 level-u cubes the ball merely touches.
     """
-    return _table(iset, u_max, candidate_rule, "ub", cells, label)
+    return _table(iset, u_max, candidate_rule, "ub", cells)
 
 
 # ---------------------------------------------------------------------------
@@ -593,10 +592,8 @@ def table_to_csv(table: CountTable) -> str:
         f"# kind={table.kind}",
         f"# u_max={table.u_max}",
         f"# candidate_rule={table.candidate_rule}",
+        "u,v,count,log2",
     ]
-    if table.label:
-        lines.append(f"# label={table.label}")
-    lines.append("u,v,count,log2")
     for (u, v) in table.grid():
         cnt = table.cells[(u, v)]
         lines.append(f"{u},{v},{cnt},{math.log2(cnt)!r}")

@@ -1,13 +1,13 @@
-"""Constructions of dyadic-cube subsets of [0,1]^d and of [0,5].
+"""Constructions of dyadic-cube subsets of [0,1] and of [0,5].
 
 Three constructions are provided:
 
 * ``build_moran`` realizes a subdivision profile (how many child cubes,
   ``2^{a_k}``, each retained cube keeps at level k) as a nested dyadic
-  tree truncated at a finite depth.  In one dimension the set is stored
-  as maximal runs of consecutive leaf cubes, which keeps deep
-  constructions tractable: the run count is bounded by the cube count at
-  the last level that kept a single child, not by the leaf count.
+  tree truncated at a finite depth.  The set is stored as maximal runs of
+  consecutive leaf cubes, which keeps deep constructions tractable: the
+  run count is bounded by the cube count at the last level that kept a
+  single child, not by the leaf count.
 * ``realize_uniform_profile`` turns a spectrum satisfying the
   superadditivity and Lipschitz inequalities into the one-variable growth
   profile whose Moran set measures back that spectrum, by alternating
@@ -47,8 +47,6 @@ __all__ = [
     "assembly_to_csv",
 ]
 
-EXPLICIT_CUBE_CAP = 1 << 20
-
 
 @dataclass(frozen=True)
 class SubdivisionProfile:
@@ -71,31 +69,18 @@ class SubdivisionProfile:
 
 
 class DyadicSet:
-    """A truncated nested dyadic-cube set.
+    """A truncated nested dyadic set on the line.
 
-    One-dimensional sets store maximal runs ``[start, end)`` of consecutive
-    level-``depth`` cube indices.  Higher-dimensional sets store explicit
-    per-level coordinate lists and are capped in size; they exist for the
-    profile identities, not for deep counting runs.
+    ``runs`` holds the sorted maximal runs ``[start, end)`` of consecutive
+    level-``depth`` cube indices.
     """
 
-    def __init__(self, d: int, depth: int, scheme: str,
-                 runs: list[tuple[int, int]] | None = None,
-                 levels: list[list[tuple[int, ...]]] | None = None):
-        if (runs is None) == (levels is None):
-            raise ParameterError("provide exactly one of runs/levels")
-        self.d = d
+    def __init__(self, depth: int, runs: list[tuple[int, int]]):
         self.depth = depth
-        self.scheme = scheme
         self.runs = runs
-        self.levels = levels
-
-    # -- one-dimensional run helpers ------------------------------------
 
     def runs_at_level(self, level: int) -> list[tuple[int, int]]:
         """Merged index ranges of retained cubes at a coarser level."""
-        if self.runs is None:
-            raise ParameterError("runs_at_level needs the 1-D backend")
         if not (0 <= level <= self.depth):
             raise ParameterError(f"level {level} outside [0, {self.depth}]")
         shift = self.depth - level
@@ -111,16 +96,10 @@ class DyadicSet:
 
     def level_count(self, level: int) -> int:
         """Number of retained cubes at the given level."""
-        if self.runs is not None:
-            return sum(e - s for s, e in self.runs_at_level(level))
-        if not (0 <= level < len(self.levels)):
-            raise ParameterError(f"level {level} outside the stored tree")
-        return len(self.levels[level])
+        return sum(e - s for s, e in self.runs_at_level(level))
 
     def descendant_count(self, level: int, index: int, target_level: int) -> int:
         """Retained level-``target_level`` cubes below one level-``level`` cube."""
-        if self.runs is None:
-            raise ParameterError("descendant_count needs the 1-D backend")
         if not (0 <= level <= target_level <= self.depth):
             raise ParameterError("need level <= target_level <= depth")
         shift = target_level - level
@@ -193,77 +172,31 @@ def profile_from_lipschitz(f: LipschitzProfile, d: int, depth: int) -> Subdivisi
     return SubdivisionProfile(d, tuple(h[k] - h[k - 1] for k in range(1, depth + 1)))
 
 
-def _spread_corners(d: int, count: int) -> list[tuple[int, ...]]:
-    """Deterministic maximally-separated choice of hypercube corners.
+def build_moran(profile: SubdivisionProfile, depth: int) -> DyadicSet:
+    """Realize a one-dimensional subdivision profile as a truncated dyadic set.
 
-    Greedy farthest-point selection over {0,1}^d starting at the origin
-    corner, ties broken lexicographically.  For count = 2^d this is all
-    corners; for count = 1 it is the origin corner, matching the
-    lexicographic rule in one dimension.
+    Where a = 0 each retained cube keeps its left child only, so runs become
+    single cubes that never touch; where a = 1 each keeps both children,
+    which only widens every run.  So the set is held as the run starts at
+    the last a = 0 level plus a pending shift, applied once at the end.
     """
-    corners = [tuple((i >> j) & 1 for j in range(d - 1, -1, -1))
-               for i in range(1 << d)]
-    chosen = [corners[0]]
-    while len(chosen) < count:
-        best = None
-        best_dist = -1
-        for c in corners:
-            if c in chosen:
-                continue
-            dist = min(sum((x - y) ** 2 for x, y in zip(c, ch)) for ch in chosen)
-            if dist > best_dist:
-                best, best_dist = c, dist
-        chosen.append(best)
-    return sorted(chosen)
-
-
-def build_moran(profile: SubdivisionProfile, depth: int,
-                child_rule: str = "lex") -> DyadicSet:
-    """Realize a subdivision profile as a truncated dyadic set.
-
-    ``child_rule`` is "lex" (keep the lexicographically first children) or
-    "spread" (keep a maximally separated corner subset).  In one dimension
-    the two rules coincide, since keeping one child of two is the only
-    non-trivial choice and both rules take the left one.
-    """
-    if child_rule not in ("lex", "spread"):
-        raise ParameterError(f"unknown child_rule {child_rule!r}")
+    if profile.d != 1:
+        raise ParameterError(f"Moran sets are one-dimensional, got d={profile.d}")
     if depth > len(profile.a):
         raise ParameterError(
-            f"profile has {len(profile.a)} levels, need at least {depth}"
+            f"profile has {len(profile.a)} entries, need at least {depth}"
         )
-    d = profile.d
-    if d == 1:
-        runs = [(0, 1)]
-        for k in range(depth):
-            if profile.a[k] == 1:
-                runs = [(2 * s, 2 * e) for s, e in runs]
-            else:
-                runs = [(2 * i, 2 * i + 1) for s, e in runs for i in range(s, e)]
-        return DyadicSet(1, depth, child_rule, runs=runs)
-
-    levels: list[list[tuple[int, ...]]] = [[(0,) * d]]
-    total = 1
+    starts = [0]
+    shift = 0
     for k in range(depth):
-        keep = 1 << profile.a[k]
-        total *= keep
-        if total > EXPLICIT_CUBE_CAP:
-            raise ParameterError(
-                "explicit cube tree too large; deep constructions are 1-D only"
-            )
-        if child_rule == "lex":
-            offsets = [tuple((i >> j) & 1 for j in range(d - 1, -1, -1))
-                       for i in range(keep)]
+        if profile.a[k] == 1:
+            shift += 1
         else:
-            offsets = _spread_corners(d, keep)
-        nxt = []
-        for cube in levels[-1]:
-            base = tuple(2 * c for c in cube)
-            for off in offsets:
-                nxt.append(tuple(b + o for b, o in zip(base, off)))
-        nxt.sort()
-        levels.append(nxt)
-    return DyadicSet(d, depth, child_rule, levels=levels)
+            # cube (s << shift) + m keeps its left child (s << (shift+1)) + 2m
+            lefts = range(0, 2 << shift, 2)
+            starts = [(s << (shift + 1)) + j for s in starts for j in lefts]
+            shift = 0
+    return DyadicSet(depth, [(s << shift, (s + 1) << shift) for s in starts])
 
 
 def geometric_schedule(ratio: int, limit: Rational, start: Rational = 1) -> list[Fraction]:
@@ -414,8 +347,6 @@ def enumerate_components(obj, resolution: int) -> IntervalSet:
     construction's runs to the returned set; only shifts are involved.
     """
     if isinstance(obj, DyadicSet):
-        if obj.d != 1:
-            raise ParameterError("interval enumeration is one-dimensional")
         if resolution > obj.depth:
             raise ParameterError(
                 f"resolution {resolution} exceeds construction depth {obj.depth}"
@@ -442,26 +373,18 @@ def enumerate_components(obj, resolution: int) -> IntervalSet:
 # serialization
 
 def dyadic_set_to_csv(dset: DyadicSet) -> str:
-    """Header + one row per maximal run (1-D) or per cube (explicit).
+    """Header + one ``level,left_numerator,width`` row per maximal run.
 
-    Rows are ``level,left_numerator,width`` with width in cubes; explicit
-    trees emit one row per leaf cube with width 1 and one coordinate
-    column per axis row-major (1-D only in this format).
+    Widths count level-``depth`` cubes; ``# d=1`` and ``# scheme=lex`` are fixed.
     """
     lines = [
-        f"# d={dset.d}",
+        "# d=1",
         f"# depth={dset.depth}",
-        f"# scheme={dset.scheme}",
+        "# scheme=lex",
         "level,left_numerator,width",
     ]
-    if dset.runs is not None:
-        for s, e in dset.runs:
-            lines.append(f"{dset.depth},{s},{e - s}")
-    else:
-        if dset.d != 1:
-            raise ParameterError("CSV export of explicit trees is 1-D only")
-        for (x,) in dset.levels[-1]:
-            lines.append(f"{dset.depth},{x},1")
+    for s, e in dset.runs:
+        lines.append(f"{dset.depth},{s},{e - s}")
     return "\n".join(lines) + "\n"
 
 

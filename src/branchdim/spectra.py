@@ -646,10 +646,15 @@ def spectrum_from_text(text: str) -> Spectrum:
             kind = kv.pop("family")
             if kind in ("phi", "psi"):
                 maker = make_phi if kind == "phi" else make_psi
-                return maker(kv["alpha"], kv["lambda"], kv["t"])
-            if kind == "q":
-                return make_q(kv["alpha"], kv["a1"], kv["a2"], kv["kappa"])
-            raise FormatError(f"unknown family kind {kind!r}")
+                args = (kv.pop("alpha"), kv.pop("lambda"), kv.pop("t"))
+            elif kind == "q":
+                maker = make_q
+                args = (kv.pop("alpha"), kv.pop("a1"), kv.pop("a2"), kv.pop("kappa"))
+            else:
+                raise FormatError(f"unknown family kind {kind!r}")
+            if kv:
+                raise FormatError(f"unknown keys {sorted(kv)} for family {kind}")
+            return maker(*args)
         if not first.startswith("alpha="):
             raise FormatError("spectrum text must start with family= or alpha=")
         alpha = as_fraction(first.partition("=")[2])

@@ -145,6 +145,20 @@ class TestMakeSet:
         code, _ = run(tmp_path, "command=make-set\nkind=cantor\n")
         assert code == 2
 
+    @pytest.mark.parametrize("config, digest", [
+        ("kind=moran\nslope=1/2\ndepth=12\n",
+         "6cad7b2d79b7a13ff314a470f87fb61b1143c891995f89ec42bf94eb3a7313ae"),
+        ("kind=assembly\nfamily=phi\nalpha=1\nlambda=1/2\nt=1/4\n"
+         "depth=12\nkmax=6\n",
+         "172cf3763bc85e538ed9b76db295ca266e967cbcbb83dfb25889fd83344ec284"),
+    ], ids=["moran", "assembly"])
+    def test_set_csv_bytes_golden(self, tmp_path, config, digest):
+        # SHA-256 of the bytes written before the sets became 1-D only.
+        code, out = run(tmp_path, "command=make-set\n" + config)
+        assert code == 0
+        got = hashlib.sha256((out / "set.csv").read_bytes()).hexdigest()
+        assert got == digest
+
 
 class TestMeasure:
     def test_lb_only_artifacts(self, tmp_path):

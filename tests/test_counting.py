@@ -636,10 +636,9 @@ class TestUniformity:
 
 class TestSerialization:
     def test_table_csv_shape(self):
-        text = table_to_csv(lb_table(FULL, 2, label="unit"))
+        text = table_to_csv(lb_table(FULL, 2))
         lines = text.strip().split("\n")
         assert lines[0] == "# kind=lb"
-        assert "# label=unit" in lines
         assert "u,v,count,log2" in lines
         assert lines[-1].startswith("2,2,1,")
 

@@ -187,34 +187,9 @@ class TestBuildMoran:
                     for idx in range(s, e):
                         assert ds.descendant_count(k, idx, n) == want
 
-    def test_spread_equals_lex_in_one_dimension(self):
-        prof = SubdivisionProfile(1, (1, 0, 0, 1, 1, 0))
-        assert build_moran(prof, 6, "lex").runs == build_moran(prof, 6, "spread").runs
-
-    def test_unknown_child_rule(self):
-        with pytest.raises(ParameterError):
-            build_moran(SubdivisionProfile(1, (1,)), 1, "random")
-
     def test_depth_longer_than_profile(self):
         with pytest.raises(ParameterError):
             build_moran(SubdivisionProfile(1, (1, 1)), 3)
-
-    def test_two_dimensional_counts(self):
-        prof = SubdivisionProfile(2, (2, 1, 0))
-        ds = build_moran(prof, 3)
-        assert [ds.level_count(k) for k in range(4)] == [1, 4, 8, 8]
-
-    def test_two_dimensional_spread_differs_from_lex(self):
-        prof = SubdivisionProfile(2, (1,))
-        lex = build_moran(prof, 1, "lex")
-        spread = build_moran(prof, 1, "spread")
-        assert lex.levels[1] == [(0, 0), (0, 1)]
-        assert spread.levels[1] == [(0, 0), (1, 1)]
-
-    def test_explicit_tree_cap(self):
-        prof = SubdivisionProfile(2, (2,) * 12)
-        with pytest.raises(ParameterError):
-            build_moran(prof, 12)
 
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=10))
     @settings(max_examples=60)
@@ -238,6 +213,37 @@ class TestBuildMoran:
                 for idx in range(s, e)
             ]
             assert max(counts) == min(counts)
+
+
+def per_level_moran_runs(profile, depth):
+    """The per-level loop ``build_moran`` replaced (oracle).
+
+    Every level rebuilds the whole run list: a = 1 doubles each run, a = 0
+    breaks each run into the left children of its cubes.
+    """
+    runs = [(0, 1)]
+    for k in range(depth):
+        if profile.a[k] == 1:
+            runs = [(2 * s, 2 * e) for s, e in runs]
+        else:
+            runs = [(2 * i, 2 * i + 1) for s, e in runs for i in range(s, e)]
+    return runs
+
+
+class TestPendingShiftMatchesOracle:
+    def test_requirement_10_profile(self):
+        psi = make_psi(1, F(1, 2), F(1, 4))
+        profile = realize_uniform_profile(psi, geometric_schedule(3, 81), d=1)
+        subdivision = profile_from_lipschitz(profile, 1, 81)
+        assert build_moran(subdivision, 81).runs == \
+            per_level_moran_runs(subdivision, 81)
+
+    @given(st.lists(st.integers(0, 1), max_size=16), st.data())
+    @settings(max_examples=200)
+    def test_random_bit_profiles(self, bits, data):
+        prof = SubdivisionProfile(1, tuple(bits))
+        depth = data.draw(st.integers(0, len(bits)))
+        assert build_moran(prof, depth).runs == per_level_moran_runs(prof, depth)
 
 
 class TestGeometricSchedule:
@@ -428,9 +434,8 @@ class TestEnumerateComponents:
             enumerate_components(ds, 2)
 
     def test_rejects_explicit_trees(self):
-        ds = build_moran(SubdivisionProfile(2, (1, 1)), 2)
         with pytest.raises(ParameterError):
-            enumerate_components(ds, 2)
+            build_moran(SubdivisionProfile(2, (1, 1)), 2)
 
     def test_rejects_unknown_objects(self):
         with pytest.raises(ParameterError):
@@ -513,11 +518,6 @@ class TestSerialization:
     def test_runs_merge_in_csv(self):
         ds = build_moran(SubdivisionProfile(1, (1,)), 1)
         assert "1,0,2" in dyadic_set_to_csv(ds)
-
-    def test_explicit_tree_csv_is_one_dimensional_only(self):
-        ds = build_moran(SubdivisionProfile(2, (1,)), 1)
-        with pytest.raises(ParameterError):
-            dyadic_set_to_csv(ds)
 
     def test_assembly_csv_ends_with_origin(self):
         asm = build_assembly(zero_spectrum(), k_max=2, depth=4)

@@ -452,7 +452,8 @@ class TestSerialization:
         assert spec.eval_exact(F(1, 2)) == F(1, 4)
 
     def test_malformed_text_raises_format_error(self):
-        for bad in ("", "alpha=1\n0 1 2\n", "family=phi alpha=1\n", "nonsense\n"):
+        for bad in ("", "alpha=1\n0 1 2\n", "family=phi alpha=1\n", "nonsense\n",
+                    "family=phi alpha=1 lambda=1/2 t=1/4 kappa=9 bogus=x"):
             with pytest.raises(FormatError):
                 spectrum_from_text(bad)
 
