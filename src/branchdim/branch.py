@@ -18,8 +18,11 @@ plus the operations on them: the maximal increasing Lipschitz minorant,
 Lipschitz regularization, the normalized scale limit, property checks,
 and the shifted-sandwich comparison.
 
-Every variant evaluates in Fractions, so tolerance-zero property checks
-are meaningful.
+Values are exact Fractions, so tolerance-zero property checks are
+meaningful.  The output of ``regularize`` answers integer points from a
+table built once from its minorants, and the triple scan behind
+``regularize`` and ``check_branch`` compares integers over a common
+denominator.
 """
 
 from __future__ import annotations
@@ -224,9 +227,16 @@ class StripEnvelopeBranch(BranchFn):
 
 
 class InfBranch(BranchFn):
-    """Pointwise minimum of a finite family of branch functions."""
+    """Pointwise minimum of a finite family of branch functions.
 
-    def __init__(self, members, precondition: "PreconditionReport | None" = None):
+    ``_table`` is supplied by ``regularize`` only: ``_table[u][v]`` is the
+    minimum over the members at the integer point (u, v), for every
+    0 <= v <= u <= u_max.  ``value`` reads it for ``int`` arguments inside
+    the domain; every other argument evaluates the members.
+    """
+
+    def __init__(self, members, precondition: "PreconditionReport | None" = None,
+                 _table: list[list[Fraction]] | None = None):
         members = tuple(members)
         if not members:
             raise ParameterError("inf_branch needs a non-empty family")
@@ -239,8 +249,13 @@ class InfBranch(BranchFn):
         super().__init__(u_max, certified)
         self.members = members
         self.precondition = precondition
+        self._table = _table
 
     def value(self, u: Rational, v: Rational):
+        table = self._table
+        if (table is not None and type(u) is int and type(v) is int
+                and 0 <= v <= u < len(table)):
+            return table[u][v]
         self._domain(u, v)
         return min(m.value(u, v) for m in self.members)
 
@@ -355,6 +370,11 @@ def max_lipschitz_minorant(samples, alpha: Rational) -> LipschitzProfile:
     return LipschitzProfile(tuple(u for u, _ in pts), tuple(out), a)
 
 
+def _scaled(xs, den: int) -> list[int]:
+    """The integers ``x * den`` for rationals whose denominators divide ``den``."""
+    return [x.numerator * (den // x.denominator) for x in xs]
+
+
 def _scan_triples(f: BranchFn, alpha: Fraction, eta_at=None):
     """Sample ``f`` once on the integer grid v <= u and scan every triple.
 
@@ -364,15 +384,24 @@ def _scan_triples(f: BranchFn, alpha: Fraction, eta_at=None):
     margin ``f(u,v) - f(w,v) - alpha*(u-w) - eta(u)`` over v <= w <= u,
     each with the first triple (u, w, v) in scan order that reaches it.
     ``eta_at`` defaults to zero.
+
+    The scan runs on integers: with ``L`` the lcm of the denominators of
+    every sample, of ``alpha`` and of every ``eta(u)``, each margin times
+    ``L`` is an exact integer, so the comparisons and witnesses are those
+    of the Fraction margins.  ``rows`` and the worst margins are Fractions.
     """
     top = int(f.u_max)
     rows = [[f.value(u, v) for v in range(u + 1)] for u in range(top + 1)]
+    etas = [0 if eta_at is None else eta_at(u) for u in range(top + 1)]
+    den = math.lcm(alpha.denominator, *(e.denominator for e in etas),
+                   *(x.denominator for row in rows for x in row))
+    ints = [_scaled(row, den) for row in rows]
+    step = alpha.numerator * (den // alpha.denominator)
     worst_s = worst_l = wit_s = wit_l = None
-    for u, f_u in enumerate(rows):
-        eta_u = 0 if eta_at is None else eta_at(u)
+    for u, (f_u, eta_u) in enumerate(zip(ints, _scaled(etas, den))):
         for w in range(u + 1):
-            f_w, f_uw = rows[w], f_u[w]
-            slack = alpha * (u - w) + eta_u
+            f_w, f_uw = ints[w], f_u[w]
+            slack = step * (u - w) + eta_u
             for v in range(w + 1):
                 drop = f_u[v] - f_w[v]
                 m_s = f_uw - drop
@@ -381,7 +410,8 @@ def _scan_triples(f: BranchFn, alpha: Fraction, eta_at=None):
                     worst_s, wit_s = m_s, (u, w, v)
                 if worst_l is None or m_l > worst_l:
                     worst_l, wit_l = m_l, (u, w, v)
-    return rows, (worst_s, wit_s), (worst_l, wit_l)
+    return (rows, (Fraction(worst_s, den), wit_s),
+            (Fraction(worst_l, den), wit_l))
 
 
 @dataclass(frozen=True)
@@ -402,10 +432,16 @@ def regularize(f: BranchFn, alpha: Rational, eta: EtaBound) -> InfBranch:
     For every integer base height ``z`` the one-variable slice
     ``u -> f(u, z)``, sampled at the integers z..u_max, is replaced by its
     maximal increasing alpha-Lipschitz minorant and wrapped into a strip
-    envelope; the output is the pointwise infimum of those envelopes.  On
-    the integer grid the output ``g`` satisfies ``f - eta <= g <= f`` and
-    the certified-class properties exactly, provided ``f`` satisfies the
-    preconditions scanned on every integer triple (zero diagonal,
+    envelope; the output is the pointwise infimum of those envelopes.  It
+    answers integer points from a table of that infimum built here: at
+    (u, v) the minimum of ``m_z(u) - m_z(v)`` over the minorants ``m_z``
+    with z <= v.  The envelopes with z > v add ``alpha * (u - v)``, which
+    never lowers the minimum: ``m_v`` is alpha-Lipschitz, so
+    ``m_v(u) - m_v(v) <= alpha * (u - v)``.
+
+    On the integer grid the output ``g`` satisfies ``f - eta <= g <= f``
+    and the certified-class properties exactly, provided ``f`` satisfies
+    the preconditions scanned on every integer triple (zero diagonal,
     superadditivity, and u-Lipschitz up to ``eta``).  Violations do not
     abort the construction: they are reported on the returned object's
     ``precondition`` attribute and clear its ``certified`` flag, so
@@ -425,12 +461,21 @@ def regularize(f: BranchFn, alpha: Rational, eta: EtaBound) -> InfBranch:
         lipschitz_violation=max(0.0, float(worst_l)),
         lipschitz_witness=wit_l if worst_l > 0 else None,
     )
-    envelopes = []
-    for z in range(len(rows)):
-        samples = [(u, rows[u][z]) for u in range(z, len(rows))]
-        minorant = max_lipschitz_minorant(samples, a)
-        envelopes.append(StripEnvelopeBranch(minorant, z, a, f.u_max))
-    return InfBranch(envelopes, precondition=report)
+    top = len(rows) - 1
+    minorants = [
+        max_lipschitz_minorant([(u, rows[u][z]) for u in range(z, top + 1)], a)
+        for z in range(top + 1)
+    ]
+    den = math.lcm(*(x.denominator for m in minorants for x in m.values))
+    ms = [_scaled(m.values, den) for m in minorants]
+    table = [
+        [Fraction(min(m[u - z] - m[v - z] for z, m in enumerate(ms[:v + 1])), den)
+         for v in range(u + 1)]
+        for u in range(top + 1)
+    ]
+    envelopes = [StripEnvelopeBranch(m, z, a, f.u_max)
+                 for z, m in enumerate(minorants)]
+    return InfBranch(envelopes, precondition=report, _table=table)
 
 
 def lambda_limit(f: BranchFn, theta: Rational, u_min: Rational,
@@ -470,9 +515,10 @@ def check_branch(f: BranchFn, alpha: Rational,
                  tolerance: float = 0.0) -> BranchReport:
     """Verify superadditivity and the u-Lipschitz bound on every integer triple.
 
-    Values are compared in Fractions, so a tolerance of zero is a
-    meaningful request.  The witnesses are the first triples (u, w, v)
-    reaching the largest margins, whether or not those are violations.
+    Margins are compared exactly, as integers over a common denominator,
+    so a tolerance of zero is a meaningful request.  The witnesses are the
+    first triples (u, w, v) reaching the largest margins, whether or not
+    those are violations.
     """
     _, (worst_s, wit_s), (worst_l, wit_l) = _scan_triples(f, as_fraction(alpha))
     v_s = max(0.0, float(worst_s))

@@ -631,7 +631,10 @@ def _parse_kv_line(line: str) -> dict[str, str]:
 
 
 def spectrum_from_text(text: str) -> Spectrum:
-    """Parse either a ``family=...`` one-liner or an alpha+pairs listing."""
+    """Parse either a ``family=...`` one-liner or an alpha+pairs listing.
+
+    A ``family=`` line must be the only line that is not blank or a comment.
+    """
     lines = [
         ln.strip()
         for ln in text.splitlines()
@@ -654,6 +657,8 @@ def spectrum_from_text(text: str) -> Spectrum:
                 raise FormatError(f"unknown family kind {kind!r}")
             if kv:
                 raise FormatError(f"unknown keys {sorted(kv)} for family {kind}")
+            if len(lines) > 1:
+                raise FormatError(f"unexpected line after family=: {lines[1]!r}")
             return maker(*args)
         if not first.startswith("alpha="):
             raise FormatError("spectrum text must start with family= or alpha=")

@@ -578,3 +578,103 @@ class TestTripleScanMatchesOracle:
             theta = F(i, 12)
             assert (lambda_limit(f, theta, u_min, u_max)
                     == oracle_lambda_limit(f, theta, u_min, u_max))
+
+
+# ---------------------------------------------------------------------------
+# regularize's table against the members' minimum it replaces, and the
+# integer triple scan against the Fraction loops above.
+
+def members_min(reg, u, v):
+    """InfBranch.value before the table: the minimum over the members."""
+    return min(m.value(u, v) for m in reg.members)
+
+
+def assert_table_matches_members(reg):
+    """Integer points read the table; every other input behaves as before.
+
+    Non-integer and Fraction-typed points take the members path, so they
+    are sampled sparsely to keep the test quick.
+    """
+    old = inf_branch(reg.members)  # no table: every point evaluates the members
+    top = int(reg.u_max)
+    samples = {}
+    for u in range(top + 1):
+        for v in range(u + 1):
+            got = reg.value(u, v)
+            samples[(u, v)] = members_min(reg, u, v)
+            assert type(got) is F and got == samples[(u, v)]
+        assert reg.value(F(u), F(u // 2)) == reg.value(u, u // 2)
+        if u < top:
+            half = u + F(1, 2)
+            assert reg.value(half, u // 3) == old.value(half, u // 3)
+            assert reg.value(half, half) == old.value(half, half)
+    for bad in ((top + 1, 0), (0, 1), (-1, -1)):
+        with pytest.raises(DomainError):
+            reg.value(*bad)
+    with pytest.raises(TypeError):
+        reg.value(True, False)
+    for theta in (F(1, 4), F(1, 2), F(2, 3), F(1)):
+        assert lambda_limit(reg, theta, 1) == lambda_limit(old, theta, 1)
+    assert check_branch(reg, 1) == oracle_check_branch(GridBranch(samples, top), 1)
+
+
+# constant_one has a nonzero origin, which regularize rejects
+# (test_nonzero_origin_still_raises).
+TABLE_CASES = sorted(set(SCAN_CASES) - {"constant_one"})
+
+
+class TestRegularizeTable:
+    @pytest.mark.parametrize("name", TABLE_CASES)
+    @pytest.mark.parametrize("alpha", [F(1, 2), 1, 2])
+    @pytest.mark.parametrize("eta", [EtaBound.const(0, threshold=2),
+                                     EtaBound.const(1, threshold=2),
+                                     EtaBound.const(2, threshold=2), PROFILE_ETA])
+    def test_scan_cases(self, name, alpha, eta):
+        f = SCAN_CASES[name]()
+        assert (regularize_outcome(f, alpha, eta)
+                == oracle_regularize_outcome(f, alpha, eta))
+        assert_table_matches_members(regularize(f, alpha, eta))
+
+    @settings(max_examples=40, deadline=None)
+    @given(grid_branches(), st.sampled_from([F(1, 2), 1, 2]),
+           st.integers(0, 2))
+    def test_random_grid_samples(self, f, alpha, c):
+        try:
+            reg = regularize(f, alpha, EtaBound.const(c, threshold=3))
+        except ParameterError:
+            return  # a nonzero origin; the scan tests cover the error
+        assert_table_matches_members(reg)
+
+    def test_fractional_u_max(self):
+        f = lift(make_phi(1, F(1, 2), F(1, 4)), F(21, 2))
+        reg = regularize(f, 1, EtaBound.const(0))
+        assert len(reg._table) == 11
+        assert_table_matches_members(reg)
+        assert reg.value(F(21, 2), 10) == members_min(reg, F(21, 2), 10)
+
+
+class TestIntegerScanDenominator:
+    # Integer samples and alpha = 1/2: the thirds of eta(u) reach the
+    # common denominator only through eta.
+    THIRDS_ETA = EtaBound(profile=LipschitzProfile((F(0), F(12)), (F(0), F(4)),
+                                                   F(1, 3)))
+
+    def test_denominator_from_eta(self):
+        f = GridBranch.from_function(lambda u, v: F(u - v), 12)
+        outcome = regularize_outcome(f, F(1, 2), self.THIRDS_ETA)
+        assert outcome == oracle_regularize_outcome(f, F(1, 2), self.THIRDS_ETA)
+        report = outcome[0]
+        # (u - w)/2 - u/3 peaks at u = 12, w = 0
+        assert report.lipschitz_violation == 2.0
+        assert report.lipschitz_witness == (12, 0, 0)
+
+    def test_zero_worst_margin_passes(self):
+        # every superadditivity and Lipschitz margin of u - v is exactly 0
+        f = GridBranch.from_function(lambda u, v: F(u - v), 9)
+        report = check_branch(f, 1)
+        assert report == oracle_check_branch(f, 1)
+        assert report.passed
+        assert report.superadd_witness == report.lipschitz_witness == (0, 0, 0)
+        outcome = regularize_outcome(f, 1, EtaBound.const(0))
+        assert outcome == oracle_regularize_outcome(f, 1, EtaBound.const(0))
+        assert outcome[0].passed

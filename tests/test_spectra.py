@@ -453,7 +453,10 @@ class TestSerialization:
 
     def test_malformed_text_raises_format_error(self):
         for bad in ("", "alpha=1\n0 1 2\n", "family=phi alpha=1\n", "nonsense\n",
-                    "family=phi alpha=1 lambda=1/2 t=1/4 kappa=9 bogus=x"):
+                    "family=phi alpha=1 lambda=1/2 t=1/4 kappa=9 bogus=x",
+                    "family=phi alpha=1 lambda=1/2 t=1/4\n0 1\n1 0\n",
+                    "family=phi alpha=1 lambda=1/2 t=1/4\n"
+                    "family=q alpha=1 a1=1/2 a2=2/3 kappa=1/4\n"):
             with pytest.raises(FormatError):
                 spectrum_from_text(bad)
 
