@@ -29,7 +29,7 @@ from fractions import Fraction
 from .branch import LipschitzProfile
 from .counting import IntervalSet
 from .errors import ParameterError
-from .spectra import Spectrum, check_inequality
+from .spectra import Spectrum, _chain_holds, check_inequality
 from ._num import Rational, as_fraction
 
 __all__ = [
@@ -139,7 +139,6 @@ class Assembly:
     components: tuple[AssemblyComponent, ...]
     k_max: int
     depth: int
-    separation_m: int
     certified: bool
 
     def component_intervals(self, component: AssemblyComponent):
@@ -279,8 +278,9 @@ def build_assembly(spec: Spectrum, d: int = 1, k_max: int = 8,
     ``depth - k``, scaled to side ``2^-k`` and translated to
     ``[4*2^-k, 5*2^-k]``.  The origin joins as the accumulation point of
     the sequence.  A spectrum failing the superadditivity or
-    weak-Lipschitz check still builds, with ``certified=False``, so the
-    verification pipeline can gate on the flag.
+    weak-Lipschitz check (read in one scan of the paper's chain) still
+    builds, with ``certified=False``, so the verification pipeline can
+    gate on the flag.
     """
     if d != 1:
         raise ParameterError("assemblies are one-dimensional in this toolkit")
@@ -290,10 +290,7 @@ def build_assembly(spec: Spectrum, d: int = 1, k_max: int = 8,
         raise ParameterError("k_max must be at least 1")
     if depth < k_max:
         raise ParameterError("depth must be at least k_max")
-    certified = (
-        check_inequality(spec, "S", cert_grid).passed
-        and check_inequality(spec, "W", cert_grid).passed
-    )
+    certified = _chain_holds(spec, cert_grid)
     components = []
     for k in range(1, k_max + 1):
         local_depth = depth - k
@@ -308,7 +305,6 @@ def build_assembly(spec: Spectrum, d: int = 1, k_max: int = 8,
         components=tuple(components),
         k_max=k_max,
         depth=depth,
-        separation_m=3,
         certified=certified,
     )
 
@@ -394,7 +390,6 @@ def assembly_to_csv(assembly: Assembly) -> str:
         "# d=1",
         f"# depth={assembly.depth}",
         f"# k_max={assembly.k_max}",
-        f"# separation_m={assembly.separation_m}",
         f"# certified={str(assembly.certified).lower()}",
         "component_k,translation_num,translation_den,level,left_numerator,width",
     ]

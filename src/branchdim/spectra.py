@@ -11,20 +11,29 @@ The module provides:
 * decision procedures for the inequalities that classify which functions
   occur as spectra of actual sets (``check_inequality``, ``check_joint``).
 
-All breakpoint arithmetic is done in :class:`fractions.Fraction`; the
-inequality checks evaluate on a grid augmented with every breakpoint and
-every pairwise breakpoint ratio, which for piecewise-linear inputs covers
-the corner points of every affine region of the two-parameter margin
-functions.  The two-parameter checks (S, W, AQ and the joint chains)
-scale every sample point to n/D and every margin by L*D**2, so the
-O(N**2) loop compares exact integers; one Fraction is built for the
-worst margin at the end.  Reports carry float margins for readability.
+All breakpoint arithmetic is done in :class:`fractions.Fraction`.  Every
+two-parameter check asks that a spectrum's value at lambda*theta lie
+between bounds of the form a(theta) + theta*b(lambda); alpha is the
+spectrum's bound and phiL/phiA are the joint check's two spectra:
+
+    check          value  lower bound               upper bound
+    S              phi    phi(th) + th*phi(lam)     --
+    W              phi    --                        (1-th)*alpha + th*phi(lam)
+    AQ             phi    phi(th)                   phi(th) + th*phi(lam)
+    JOINT lower    phiL   phiL(th) + th*phiL(lam)   phiA(th) + th*phiL(lam)
+    JOINT Assouad  phiA   phiA(th) + th*phiL(lam)   phiA(th) + th*phiA(lam)
+
+S and W together are the paper's chain phi(th) <= phi(lam*th) - th*phi(lam)
+<= (1-th)*alpha.  One kernel, ``_scan``, decides every row in exact
+integers on a grid augmented with every breakpoint and breakpoint ratio
+(the corners of every affine region of the margins).  Reports carry float
+margins.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -109,9 +118,6 @@ class Spectrum:
                     f"value {v} outside [0, {self.alpha}]"
                 )
 
-    def __call__(self, theta: Rational):
-        return eval_spectrum(self, theta)
-
     def eval_exact(self, theta: Fraction) -> Fraction:
         """Exact value at an in-range Fraction argument (no domain check)."""
         bps = self.breakpoints
@@ -178,16 +184,28 @@ def spectrum_from_breakpoints(
     )
 
 
-def _check_two_piece_params(alpha: Fraction, lam: Fraction, t: Fraction) -> None:
-    if alpha < 0:
+def _two_piece(kind: str, alpha: Rational, lam: Rational, t: Rational) -> Spectrum:
+    """Validated two-piece spectrum through (lam, t) and (1, 0).
+
+    Its value at 0 is alpha for ``phi`` and t + alpha*lam for ``psi``.
+    """
+    a, l, tt = as_fraction(alpha), as_fraction(lam), as_fraction(t)
+    if a < 0:
         raise ParameterError("alpha must be non-negative")
-    if not (0 < lam <= 1):
-        raise ParameterError(f"lambda={lam} must lie in (0, 1]")
-    if not (0 <= t <= alpha * (1 - lam)):
+    if not (0 < l <= 1):
+        raise ParameterError(f"lambda={l} must lie in (0, 1]")
+    if not (0 <= tt <= a * (1 - l)):
         raise ParameterError(
-            f"t={t} outside [0, alpha*(1-lambda)] = [0, {alpha * (1 - lam)}]; "
+            f"t={tt} outside [0, alpha*(1-lambda)] = [0, {a * (1 - l)}]; "
             "the slope ordering of the two pieces would be violated"
         )
+    params = FamilyParams(kind=kind, alpha=a, lam=l, t=tt)
+    if l == 1:
+        return Spectrum((Fraction(0), Fraction(1)), (a, Fraction(0)), a, kind, params)
+    at_zero = a if kind == "phi" else tt + a * l
+    return Spectrum(
+        (Fraction(0), l, Fraction(1)), (at_zero, tt, Fraction(0)), a, kind, params
+    )
 
 
 def make_phi(alpha: Rational, lam: Rational, t: Rational) -> Spectrum:
@@ -198,14 +216,7 @@ def make_phi(alpha: Rational, lam: Rational, t: Rational) -> Spectrum:
     two pieces are collinear and the function is the straight segment from
     (0, alpha) to (1, 0).
     """
-    a, l, tt = as_fraction(alpha), as_fraction(lam), as_fraction(t)
-    _check_two_piece_params(a, l, tt)
-    params = FamilyParams(kind="phi", alpha=a, lam=l, t=tt)
-    if l == 1:
-        return Spectrum((Fraction(0), Fraction(1)), (a, Fraction(0)), a, "phi", params)
-    return Spectrum(
-        (Fraction(0), l, Fraction(1)), (a, tt, Fraction(0)), a, "phi", params
-    )
+    return _two_piece("phi", alpha, lam, t)
 
 
 def make_psi(alpha: Rational, lam: Rational, t: Rational) -> Spectrum:
@@ -219,18 +230,7 @@ def make_psi(alpha: Rational, lam: Rational, t: Rational) -> Spectrum:
     ``make_phi``; the value at 0, ``t + alpha*lam``, then automatically
     stays within [0, alpha].
     """
-    a, l, tt = as_fraction(alpha), as_fraction(lam), as_fraction(t)
-    _check_two_piece_params(a, l, tt)
-    params = FamilyParams(kind="psi", alpha=a, lam=l, t=tt)
-    if l == 1:
-        return Spectrum((Fraction(0), Fraction(1)), (a, Fraction(0)), a, "psi", params)
-    return Spectrum(
-        (Fraction(0), l, Fraction(1)),
-        (tt + a * l, tt, Fraction(0)),
-        a,
-        "psi",
-        params,
-    )
+    return _two_piece("psi", alpha, lam, t)
 
 
 def make_q(alpha: Rational, a1: Rational, a2: Rational, kappa: Rational) -> Spectrum:
@@ -361,6 +361,8 @@ def _sample_points(spec: Spectrum, grid_resolution: int) -> list[Fraction]:
     coordinates of the form b_i or b_i/b_j, so including those makes the
     sampled extremum the true extremum.
     """
+    if grid_resolution < 2:
+        raise ParameterError("grid_resolution must be at least 2")
     pts = {Fraction(i, grid_resolution) for i in range(1, grid_resolution + 1)}
     bps = [b for b in spec.breakpoints if 0 < b <= 1]
     pts.update(bps)
@@ -413,6 +415,66 @@ def _integer_form(specs, points: list[Fraction]):
     return nums, den, lcm, tables
 
 
+# The rows of the module docstring's table as clauses (looked up, sign,
+# a, b): the bound is a(theta) + theta*b(lambda), sign is +1 for a lower
+# bound and -1 for an upper one, a and b index the spectra checked,
+# a = "cap" is (1-theta)*alpha and b = None is 0.
+_CLAUSES = {
+    "S": ((0, 1, 0, 0),),
+    "W": ((0, -1, "cap", 0),),
+    "AQ": ((0, 1, 0, None), (0, -1, 0, 0)),
+    "S+W": ((0, 1, 0, 0), (0, -1, "cap", 0)),
+    "JOINT": ((0, 1, 0, 0), (0, -1, 1, 0), (1, 1, 1, 0), (1, -1, 1, 1)),
+}
+
+
+def _scan(specs, grid_resolution: int, clauses):
+    """The one (lambda, theta) pair loop: the worst margin of ``clauses``.
+
+    A clause's margin is sign*(bound - value), as an exact integer over
+    L*D**2 (see ``_integer_form``).  Every pair of the union of
+    ``_sample_points`` over ``specs`` is scanned, lambda outer and theta
+    inner, and the first (lambda, theta, clause) to reach a strictly
+    larger margin is kept.  Returns that margin as a Fraction,
+    (lambda, theta) as floats and the clause's index.
+    """
+    samples = [_sample_points(s, grid_resolution) for s in specs]
+    points = samples[0] if len(samples) == 1 else sorted(set().union(*samples))
+    nums, den, lcm, tables = _integer_form(specs, points)
+    a_terms = {i: [den * v for v in t[3]] for i, t in enumerate(tables)}
+    a_terms["cap"] = [(specs[0].alpha * lcm).numerator * den * (den - t) for t in nums]
+    b_terms = {i: t[3] for i, t in enumerate(tables)} | {None: [0] * len(nums)}
+    work = [(s, sign, [(sign * x, t) for x, t in zip(a_terms[a], nums)], b_terms[b])
+            for s, sign, a, b in clauses]
+    worst = at = None
+    for li, lam in enumerate(nums):
+        runs = {}  # piece i covers the theta with lam*theta >= its start
+        for s in {c[0] for c in clauses}:
+            cuts = [bisect_left(nums, -(-x // lam)) for x in tables[s][0][1:]]
+            runs[s] = list(zip([0] + cuts, cuts + [len(nums)]))
+        margins = []
+        for s, sign, xs, b in work:
+            m = []
+            for (lo, hi), c, e in zip(runs[s], tables[s][1], tables[s][2]):
+                # on the run the value is c + e*lam*t, the bound a + t*b[li]
+                d, c = sign * (b[li] - e * lam), -sign * c
+                m += [x + t * d + c for x, t in xs[lo:hi]]
+            margins.append(m)
+        tops = [max(m) for m in margins]
+        if worst is None or max(tops) > worst:
+            worst = max(tops)  # first theta reaching it, first clause there
+            at = (li, *min((m.index(worst), c) for c, m in enumerate(margins)
+                           if tops[c] == worst))
+    witness = (float(points[at[0]]), float(points[at[1]]))
+    return Fraction(worst, lcm * den * den), witness, at[2]
+
+
+def _chain_holds(spec: Spectrum, grid_resolution: int, tolerance: float = 1e-9) -> bool:
+    """S and W in one scan of the paper's chain; passes exactly when both do."""
+    worst, witness, _ = _scan((spec,), grid_resolution, _CLAUSES["S+W"])
+    return _report("S+W", worst, witness, tolerance).passed
+
+
 def _m_ratio_sequence(spec: Spectrum, points: list[Fraction]):
     """Values of phi(theta)/(1-theta) over the sample, with a limit at 1.
 
@@ -440,27 +502,28 @@ def check_inequality(
 ) -> InequalityReport:
     """Check one classification inequality and report the worst margin.
 
-    Inequalities, for all lambda, theta in (0, 1]:
+    ``S``, ``W`` and ``AQ`` hold when, for all lambda, theta in (0, 1],
+    phi(lambda*theta) lies between these bounds (alpha = ``spec.alpha``):
 
-    * ``S``  phi(lambda*theta) >= phi(theta) + theta*phi(lambda)
-    * ``W``  phi(lambda*theta) <= (1-theta)*alpha + theta*phi(lambda)
-    * ``M``  phi(theta1)/(1-theta1) >= phi(theta2)/(1-theta2) for
+        check  lower bound                  upper bound
+        S      phi(theta) + theta*phi(lam)  --
+        W      --                           (1-theta)*alpha + theta*phi(lam)
+        AQ     phi(theta)                   phi(theta) + theta*phi(lam)
+
+    ``_scan`` evaluates them at every pair of ``_sample_points``, lambda
+    outer and theta inner, with each margin an exact integer over L*D**2;
+    the first pair reaching the largest margin is the witness.  Also:
+
+    * ``M``  phi(theta1)/(1-theta1) >= phi(theta2)/(1-theta2) for sampled
       theta1 < theta2, the value at 1 being the limit slope
     * ``L``  every piece slope bounded by alpha in absolute value
-      (exactly the alpha-Lipschitz property for piecewise-linear phi)
-    * ``AQ`` phi(theta) + theta*phi(lambda) >= phi(lambda*theta)
-      and phi(lambda*theta) >= phi(theta)
+      (exactly the alpha-Lipschitz property for piecewise-linear phi);
+      it reads only the pieces and ignores ``grid_resolution``
 
-    S, W and AQ are evaluated at every pair of ``_sample_points``, lambda
-    outer and theta inner, with each margin scaled by L*D**2 (see
-    ``_integer_form``) and compared as an exact integer; the first pair
-    reaching the largest margin is the witness.  A failed check is a
-    report with ``passed=False``, not an error.
+    A failed check is a report with ``passed=False``, not an error.
     """
     if inequality not in INEQUALITIES:
         raise ParameterError(f"unknown inequality {inequality!r}")
-    if grid_resolution < 2:
-        raise ParameterError("grid_resolution must be at least 2")
 
     if inequality == "L":
         alpha = spec.alpha
@@ -474,9 +537,8 @@ def check_inequality(
                 worst, witness = margin, (float(x0), float(x1))
         return _report(inequality, worst, witness, tolerance)
 
-    points = _sample_points(spec, grid_resolution)
-
     if inequality == "M":
+        points = _sample_points(spec, grid_resolution)
         ratios = _m_ratio_sequence(spec, points)
         worst = None
         witness = None
@@ -492,45 +554,12 @@ def check_inequality(
                 best, best_at = r, x
         return _report(inequality, worst, witness, tolerance)
 
-    nums, den, lcm, ((starts, icpt, slope, vals),) = _integer_form(
-        (spec,), points
-    )
-    dvals = [den * v for v in vals]
-    if inequality == "W":
-        # (1-theta)*alpha, scaled by L*D**2
-        cap = [(spec.alpha * lcm).numerator * den * (den - t) for t in nums]
-    worst = None
-    at = None
-    for li, lam in enumerate(nums):
-        v_lam = vals[li]
-        for ti, theta in enumerate(nums):
-            k = lam * theta
-            i = bisect_right(starts, k) - 1
-            prod_val = icpt[i] + slope[i] * k
-            if inequality == "S":
-                margin = dvals[ti] + theta * v_lam - prod_val
-            elif inequality == "W":
-                margin = prod_val - cap[ti] - theta * v_lam
-            else:  # AQ: worst of the two clauses at this pair
-                margin = max(
-                    prod_val - dvals[ti] - theta * v_lam,
-                    dvals[ti] - prod_val,
-                )
-            if worst is None or margin > worst:
-                worst, at = margin, (li, ti)
-    witness = (float(points[at[0]]), float(points[at[1]]))
-    return _report(
-        inequality, Fraction(worst, lcm * den * den), witness, tolerance
-    )
+    worst, witness, _ = _scan((spec,), grid_resolution, _CLAUSES[inequality])
+    return _report(inequality, worst, witness, tolerance)
 
 
-def _report(
-    inequality: str,
-    worst,
-    witness,
-    tolerance: float,
-    binding: str | None = None,
-) -> InequalityReport:
+def _report(inequality: str, worst, witness, tolerance: float,
+            binding: str | None = None) -> InequalityReport:
     margin = float(worst) if worst is not None else float("-inf")
     violation = max(0.0, margin)
     return InequalityReport(
@@ -557,44 +586,23 @@ def check_joint(
         phiL(theta) <= phiL(lambda*theta) - theta*phiL(lambda) <= phiA(theta)
         theta*phiL(lambda) <= phiA(lambda*theta) - phiA(theta) <= theta*phiA(lambda)
 
-    Both chains are evaluated on the shared grid plus both spectra's
-    breakpoint-derived points, with the margins of both spectra scaled
-    by one common L*D**2 and compared as exact integers; the report's
-    ``binding`` names the clause where the worst margin occurred.
+    that is, the value at lambda*theta lies between two bounds:
+
+        chain    value  lower bound                upper bound
+        lower    phiL   phiL(th) + th*phiL(lam)    phiA(th) + th*phiL(lam)
+        Assouad  phiA   phiA(th) + th*phiL(lam)    phiA(th) + th*phiA(lam)
+
+    ``_scan`` checks both chains as it checks S/W/AQ, on the union of both
+    spectra's samples with one common L*D**2; the report's ``binding``
+    names the clause where the worst margin occurred.
     """
     if phi_lower.alpha != phi_assouad.alpha:
         raise ParameterError("joint check requires a common alpha")
-    if grid_resolution < 2:
-        raise ParameterError("grid_resolution must be at least 2")
-    pts = sorted(
-        set(_sample_points(phi_lower, grid_resolution))
-        | set(_sample_points(phi_assouad, grid_resolution))
+    worst, witness, clause = _scan(
+        (phi_lower, phi_assouad), grid_resolution, _CLAUSES["JOINT"]
     )
-    nums, den, lcm, tables = _integer_form((phi_lower, phi_assouad), pts)
-    (sl, il, pl, vl), (sa, ia, pa, va) = tables
-    dvl = [den * v for v in vl]
-    dva = [den * v for v in va]
-    worst = None
-    at = None
-    for li, lam in enumerate(nums):
-        for ti, theta in enumerate(nums):
-            k = lam * theta
-            i = bisect_right(sl, k) - 1
-            mid_l = il[i] + pl[i] * k - theta * vl[li]
-            i = bisect_right(sa, k) - 1
-            diff_a = ia[i] + pa[i] * k - dva[ti]
-            clauses = (
-                dvl[ti] - mid_l,
-                mid_l - dva[ti],
-                theta * vl[li] - diff_a,
-                diff_a - theta * va[li],
-            )
-            for c, margin in enumerate(clauses):
-                if worst is None or margin > worst:
-                    worst, at = margin, (li, ti, c)
-    witness = (float(pts[at[0]]), float(pts[at[1]]))
-    return _report("JOINT", Fraction(worst, lcm * den * den), witness,
-                   tolerance, binding=JOINT_CLAUSES[at[2]])
+    return _report("JOINT", worst, witness, tolerance,
+                   binding=JOINT_CLAUSES[clause])
 
 
 # ---------------------------------------------------------------------------

@@ -352,8 +352,8 @@ class TestBuildAssembly:
             hi = max(b for _, b in asm.component_intervals(comp))
             r = F(1, 2 ** comp.k)
             assert comp.center - r <= lo and hi <= comp.center + r
-            # ... and within 2^{-k+m} of the origin, m = 3.
-            assert hi <= F(2 ** asm.separation_m, 2 ** comp.k)
+            # ... and within 2^{-k+3} of the origin (the Assembly docstring).
+            assert hi <= F(2 ** 3, 2 ** comp.k)
 
     def test_balls_are_pairwise_disjoint(self):
         asm = build_assembly(make_phi(1, F(1, 2), F(1, 4)), k_max=10, depth=14)
@@ -522,7 +522,7 @@ class TestSerialization:
     def test_assembly_csv_ends_with_origin(self):
         asm = build_assembly(zero_spectrum(), k_max=2, depth=4)
         lines = assembly_to_csv(asm).strip().split("\n")
-        assert lines[5] == (
+        assert lines[4] == (
             "component_k,translation_num,translation_den,level,left_numerator,width"
         )
         assert lines[-1] == "0,0,1,0,0,0"

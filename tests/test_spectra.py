@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from branchdim.branch import lift
 from branchdim.errors import DomainError, FormatError, ParameterError
+from branchdim.sets import build_assembly
 from branchdim.spectra import (
     Spectrum,
     _report,
@@ -354,6 +356,9 @@ def oracle_spectra():
     out["sevenths"] = spectrum_from_breakpoints(
         (0, F(2, 7), F(3, 7), F(5, 7), 1),
         (F(3, 2), F(6, 7), F(6, 7), F(1, 7), 0), F(3, 2))
+    # passes S and fails W at every grid: certification needs both bounds
+    out["steep-middle"] = spectrum_from_breakpoints(
+        (0, F(1, 4), F(9, 16), 1), (1, F(3, 4), F(5, 16), 0), 1)
     out["zero"] = zero_spectrum()
     out["nonzero-at-one"] = spectrum_from_breakpoints(
         (0, F(2, 5), 1), (F(3, 4), F(1, 5), F(1, 3)), 1)
@@ -361,6 +366,20 @@ def oracle_spectra():
 
 
 ORACLE_SPECTRA = oracle_spectra()
+# test_random_spectra's sweep: knots in 21sts, heights in 12ths of alpha
+SWEEP = (
+    st.lists(st.integers(1, 20), min_size=1, max_size=4, unique=True),
+    st.lists(st.integers(0, 12), min_size=6, max_size=6),
+    st.integers(1, 3),
+)
+
+
+def swept_spectrum(knots, heights, alpha):
+    bps = [F(0)] + sorted(F(k, 21) for k in knots) + [F(1)]
+    vals = [F(alpha * h, 12) for h in heights[:len(bps)]]
+    return spectrum_from_breakpoints(bps, vals, alpha)
+
+
 SMALL_GRIDS = (2, 3, 7, 32)
 # The Fraction oracle costs about a second per spectrum at these grids.
 LARGE_GRID_CASES = [
@@ -410,22 +429,62 @@ class TestIntegerKernelMatchesFractionGrid:
             fraction_grid_joint(spec_l, spec_a, grid)
 
     @settings(max_examples=40, deadline=None)
-    @given(
-        st.lists(st.integers(1, 20), min_size=1, max_size=4, unique=True),
-        st.lists(st.integers(0, 12), min_size=6, max_size=6),
-        st.integers(1, 3),
-        st.integers(2, 24),
-    )
+    @given(*SWEEP, st.integers(2, 24))
     def test_random_spectra(self, knots, heights, alpha, grid):
-        bps = [F(0)] + sorted(F(k, 21) for k in knots) + [F(1)]
-        vals = [F(alpha * h, 12) for h in heights[:len(bps)]]
-        spec = spectrum_from_breakpoints(bps, vals, alpha)
+        spec = swept_spectrum(knots, heights, alpha)
         other = make_psi(alpha, F(1, 3), F(alpha, 5))
         for ineq in ("S", "W", "AQ"):
             assert check_inequality(spec, ineq, grid) == \
                 fraction_grid_check(spec, ineq, grid)
         assert check_joint(spec, other, grid) == \
             fraction_grid_joint(spec, other, grid)
+
+    def test_product_on_a_piece_start(self):
+        # At grid 2 the samples are 1/4, 1/2, 1; the pairs (1/4, 1),
+        # (1/2, 1/2) and (1, 1/4) all multiply to the piece start 1/4.
+        tent = spectrum_from_breakpoints((0, F(1, 4), 1), (0, 1, 0), 1)
+        assert _sample_points(tent, 2) == [F(1, 4), F(1, 2), F(1)]
+        for ineq in ("S", "W", "AQ"):
+            assert check_inequality(tent, ineq, 2) == \
+                fraction_grid_check(tent, ineq, 2)
+        for lower, assouad in ((tent, tent), (tent, segment()), (segment(), tent)):
+            assert check_joint(lower, assouad, 2) == \
+                fraction_grid_joint(lower, assouad, 2)
+        # W is worst at lam = 1, theta = 1/4: phi(1/4) - (3/4)*1 - 0
+        rep = check_inequality(tent, "W", 2)
+        assert (rep.witness, rep.worst_margin) == ((1.0, 0.25), 0.25)
+
+
+CERT_GRIDS = (2, 7, 64)
+
+
+def assert_certified_as_two_calls(spec, grid):
+    """lift and build_assembly certify in one scan; the oracle is two checks."""
+    expected = (check_inequality(spec, "S", grid).passed
+                and check_inequality(spec, "W", grid).passed)
+    assert lift(spec, 4, grid).certified == expected
+    if spec.alpha > 1:  # assemblies are one-dimensional
+        return
+    try:
+        asm = build_assembly(spec, k_max=1, depth=2, cert_grid=grid)
+    except ParameterError:  # some spectra outside the class build no set
+        assert not expected
+    else:
+        assert asm.certified == expected
+
+
+class TestCertificationIsOneChainScan:
+    @pytest.mark.parametrize("name", sorted(ORACLE_SPECTRA))
+    @pytest.mark.parametrize("grid", CERT_GRIDS)
+    def test_oracle_spectra(self, name, grid):
+        assert_certified_as_two_calls(ORACLE_SPECTRA[name], grid)
+
+    @settings(max_examples=40, deadline=None)
+    @given(*SWEEP)
+    def test_random_spectra(self, knots, heights, alpha):
+        spec = swept_spectrum(knots, heights, alpha)
+        for grid in CERT_GRIDS:
+            assert_certified_as_two_calls(spec, grid)
 
 
 class TestSerialization:
