@@ -1,4 +1,10 @@
-"""Small numeric helpers: exact rational conversion and deterministic formatting.
+"""Small numeric helpers shared by every layer.
+
+Exact rational conversion and deterministic formatting, plus the one
+implementation of each algorithm the layers share: piecewise-linear
+interpolation (``interpolate``), piece slopes (``slopes``), the maximal
+non-decreasing Lipschitz minorant of a sequence (``lipschitz_minorant``)
+and the merge of sorted integer ranges (``merge_ranges``).
 
 The toolkit does its curve arithmetic (breakpoints, piecewise-linear
 evaluation) in :class:`fractions.Fraction` so that equality tests and
@@ -10,6 +16,7 @@ reports and CSV output.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from typing import Union
 
@@ -33,6 +40,57 @@ def as_fraction(x: Rational) -> Fraction:
     if isinstance(x, float):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as a rational number")
+
+
+def interpolate(xs, ys, x):
+    """Value at ``x`` of the piecewise-linear function through (xs[i], ys[i]).
+
+    ``xs`` ascends strictly.  Outside [xs[0], xs[-1]] the value is the
+    nearest end value; the clamp reads the bisect index, so it costs no
+    comparison beyond the bisection.
+    """
+    i = bisect_right(xs, x)
+    if i == len(xs):
+        return ys[-1]
+    if i == 0:
+        return ys[0]
+    x0, y0 = xs[i - 1], ys[i - 1]
+    return y0 + (ys[i] - y0) * (x - x0) / (xs[i] - x0)
+
+
+def slopes(xs, ys) -> list[Fraction]:
+    """Exact slope of each piece between consecutive knots, left to right."""
+    return [Fraction(y1 - y0, x1 - x0)
+            for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:])]
+
+
+def lipschitz_minorant(values, step) -> list:
+    """Largest non-decreasing sequence below ``values`` rising by at most ``step``.
+
+    The forward pass ``p[k] = min(values[k], p[k-1] + step)`` enforces the
+    ceiling coming from the left; the suffix-minimum pass then pulls each
+    entry down to the smallest later one.  Together they give the
+    pointwise-maximal feasible sequence.  Ints stay ints, Fractions stay
+    Fractions.
+    """
+    out = list(values[:1])
+    for x in values[1:]:
+        out.append(min(x, out[-1] + step))
+    for k in range(len(out) - 2, -1, -1):
+        out[k] = min(out[k], out[k + 1])
+    return out
+
+
+def merge_ranges(ranges) -> list[tuple[int, int]]:
+    """Ranges ``(lo, hi)`` sorted by ``lo``, touching or overlapping ones merged."""
+    out: list[tuple[int, int]] = []
+    for lo, hi in ranges:
+        if out and lo <= out[-1][1]:
+            if hi > out[-1][1]:
+                out[-1] = (out[-1][0], hi)
+        else:
+            out.append((lo, hi))
+    return out
 
 
 def fmt_number(x) -> str:

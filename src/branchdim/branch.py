@@ -28,12 +28,12 @@ denominator.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, ParameterError
-from ._num import Rational, as_fraction, fmt_decimal, fmt_number
+from ._num import (Rational, as_fraction, fmt_decimal, fmt_number, interpolate,
+                   lipschitz_minorant, slopes)
 from .spectra import Spectrum, _chain_holds
 
 __all__ = [
@@ -86,33 +86,19 @@ class LipschitzProfile:
             raise ParameterError("profile must vanish at 0")
         if self.alpha < 0:
             raise ParameterError("alpha must be non-negative")
-        for k0, k1, v0, v1 in zip(ks, ks[1:], vs, vs[1:]):
-            if v1 < v0:
+        for k0, k1, s in zip(ks, ks[1:], slopes(ks, vs)):
+            if s < 0:
                 raise ParameterError("profile must be non-decreasing")
-            if v1 - v0 > self.alpha * (k1 - k0):
+            if s > self.alpha:
                 raise ParameterError(
                     f"profile slope exceeds alpha={self.alpha} on [{k0}, {k1}]"
                 )
 
     def at(self, u: Rational) -> Fraction:
-        x = as_fraction(u)
-        ks = self.knots
-        if x <= ks[0]:
-            return self.values[0]
-        if x >= ks[-1]:
-            return self.values[-1]
-        i = bisect_right(ks, x) - 1
-        k0, k1 = ks[i], ks[i + 1]
-        v0, v1 = self.values[i], self.values[i + 1]
-        return v0 + (v1 - v0) * (x - k0) / (k1 - k0)
+        return interpolate(self.knots, self.values, as_fraction(u))
 
     def max_slope(self) -> Fraction:
-        return max(
-            (v1 - v0) / (k1 - k0)
-            for k0, k1, v0, v1 in zip(
-                self.knots, self.knots[1:], self.values, self.values[1:]
-            )
-        ) if len(self.knots) > 1 else Fraction(0)
+        return max(slopes(self.knots, self.values), default=Fraction(0))
 
 
 class EtaBound:
@@ -334,12 +320,9 @@ def inf_branch(members) -> InfBranch:
 def max_lipschitz_minorant(samples, alpha: Rational) -> LipschitzProfile:
     """Largest non-decreasing alpha-Lipschitz function below the samples.
 
-    Samples must sit on a uniform knot grid.  Computed by the forward pass
-    ``p[k] = min(f[k], p[k-1] + alpha*delta)`` followed by a suffix-minimum
-    pass; the forward pass enforces the Lipschitz ceiling coming from the
-    left, the suffix pass pulls values down to the smallest reachable
-    future sample, and together they realize the pointwise-maximal
-    feasible profile.
+    Samples must sit on a uniform knot grid with spacing ``delta``; the
+    values are ``lipschitz_minorant`` of the samples with step
+    ``alpha*delta``.
     """
     pts = [(as_fraction(u), as_fraction(x)) for u, x in samples]
     if len(pts) < 1:
@@ -349,21 +332,12 @@ def max_lipschitz_minorant(samples, alpha: Rational) -> LipschitzProfile:
     if any(x < 0 for _, x in pts):
         raise ParameterError("sample values must be non-negative")
     a = as_fraction(alpha)
-    if len(pts) > 1:
-        delta = pts[1][0] - pts[0][0]
-        for (u0, _), (u1, _) in zip(pts[1:], pts[2:]):
-            if u1 - u0 != delta:
-                raise ParameterError("sample knots must form a uniform grid")
-        step = a * delta
-        forward = [pts[0][1]]
-        for _, x in pts[1:]:
-            forward.append(min(x, forward[-1] + step))
-        out = list(forward)
-        for k in range(len(out) - 2, -1, -1):
-            out[k] = min(out[k], out[k + 1])
-    else:
-        out = [pts[0][1]]
-    return LipschitzProfile(tuple(u for u, _ in pts), tuple(out), a)
+    knots = [u for u, _ in pts]
+    delta = knots[1] - knots[0] if len(knots) > 1 else 0
+    if any(u1 - u0 != delta for u0, u1 in zip(knots[1:], knots[2:])):
+        raise ParameterError("sample knots must form a uniform grid")
+    out = lipschitz_minorant([x for _, x in pts], a * delta)
+    return LipschitzProfile(tuple(knots), tuple(out), a)
 
 
 def _scaled(xs, den: int) -> list[int]:

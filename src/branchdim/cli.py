@@ -22,7 +22,6 @@ stopped the run (uncertified spectrum).
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from fractions import Fraction
@@ -34,6 +33,7 @@ from .counting import (
     estimate_lower_spectrum,
     estimate_to_csv,
     lb_table,
+    lower_cells,
     monotonize_estimate,
     table_to_csv,
     ub_table,
@@ -284,10 +284,7 @@ def run_verify(cfg: dict, out_dir: str) -> int:
     rule = cfg.get("candidate-rule", "dense")
     thetas = _theta_grid(cfg)
     window = _window(cfg, depth)
-    if window is None:
-        window = (max(1, depth // 2), depth)
-    cells = sorted({(u, min(u, math.ceil(t * u)))
-                    for u in range(window[0], window[1] + 1) for t in thetas})
+    cells = lower_cells(depth, thetas, window)
     lb = lb_table(iset, depth, candidate_rule=rule, cells=cells)
     est = estimate_lower_spectrum(lb, thetas, window)
 

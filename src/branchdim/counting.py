@@ -35,7 +35,7 @@ from fractions import Fraction
 
 from .branch import EtaBound
 from .errors import DomainError, ParameterError
-from ._num import Rational, as_fraction, fmt_decimal
+from ._num import Rational, as_fraction, fmt_decimal, merge_ranges
 
 __all__ = [
     "IntervalSet",
@@ -88,16 +88,12 @@ class IntervalSet:
             pairs = [(int(lo * unit), int(hi * unit)) for lo, hi in pairs]
         elif scale < 0:
             raise ParameterError(f"scale must be non-negative, got {scale}")
-        merged: list[tuple[int, int]] = []
-        for lo, hi in sorted(pairs):
+        pairs = sorted(pairs)
+        for lo, hi in pairs:
             if lo > hi:
                 raise ParameterError(
                     f"interval ({lo}, {hi}) / 2^{scale} is reversed")
-            if merged and lo <= merged[-1][1]:
-                if hi > merged[-1][1]:
-                    merged[-1] = (merged[-1][0], hi)
-            else:
-                merged.append((lo, hi))
+        merged = merge_ranges(pairs)
         if not merged:
             raise ParameterError("interval set cannot be empty")
         bits = 0
@@ -487,6 +483,33 @@ def _resolve_window(window, u_max: int) -> tuple[int, int]:
     return lo, hi
 
 
+def _lower_level(theta: Fraction, u: int) -> int:
+    """Ball level of the lower estimate's cell at u: ceil(theta*u), the smaller ball."""
+    return min(u, math.ceil(theta * u))
+
+
+def _windowed(table: CountTable, theta_grid, window, kind: str, level,
+              extremum) -> SpectrumEstimate:
+    """``extremum`` over u in the window of log2(count(u, level(theta, u))) / u."""
+    lo, hi = _resolve_window(window, table.u_max)
+    thetas = tuple(as_fraction(t) for t in theta_grid)
+    values = []
+    for theta in thetas:
+        if not (0 <= theta <= 1):
+            raise DomainError(f"theta {theta} outside [0, 1]")
+        values.append(extremum(table.log2(u, level(theta, u)) / u
+                               for u in range(lo, hi + 1)))
+    return SpectrumEstimate(kind=kind, thetas=thetas, values=tuple(values),
+                            window=(lo, hi), warning=hi - lo + 1 < 4)
+
+
+def lower_cells(u_max: int, theta_grid, window=None) -> list[tuple[int, int]]:
+    """The sorted lb cells ``estimate_lower_spectrum`` reads for these arguments."""
+    lo, hi = _resolve_window(window, u_max)
+    thetas = [as_fraction(t) for t in theta_grid]
+    return sorted({(u, _lower_level(t, u)) for u in range(lo, hi + 1) for t in thetas})
+
+
 def estimate_lower_spectrum(table: CountTable, theta_grid, window=None) -> SpectrumEstimate:
     """min over u in the window of log2(count(u, ceil(theta*u))) / u.
 
@@ -496,18 +519,7 @@ def estimate_lower_spectrum(table: CountTable, theta_grid, window=None) -> Spect
     """
     if table.kind != "lb":
         raise ParameterError("lower-spectrum estimation needs an lb table")
-    lo, hi = _resolve_window(window, table.u_max)
-    thetas = tuple(as_fraction(t) for t in theta_grid)
-    values = []
-    for theta in thetas:
-        if not (0 <= theta <= 1):
-            raise DomainError(f"theta {theta} outside [0, 1]")
-        values.append(min(
-            table.log2(u, min(u, math.ceil(theta * u))) / u
-            for u in range(lo, hi + 1)
-        ))
-    return SpectrumEstimate(kind="lower", thetas=thetas, values=tuple(values),
-                            window=(lo, hi), warning=hi - lo + 1 < 4)
+    return _windowed(table, theta_grid, window, "lower", _lower_level, min)
 
 
 def monotonize_estimate(est: SpectrumEstimate) -> SpectrumEstimate:
@@ -540,18 +552,8 @@ def estimate_assouad_spectrum(table: CountTable, theta_grid, window=None) -> Spe
     """
     if table.kind != "ub":
         raise ParameterError("Assouad estimation needs an ub table")
-    lo, hi = _resolve_window(window, table.u_max)
-    thetas = tuple(as_fraction(t) for t in theta_grid)
-    values = []
-    for theta in thetas:
-        if not (0 <= theta <= 1):
-            raise DomainError(f"theta {theta} outside [0, 1]")
-        values.append(max(
-            table.log2(u, math.floor(theta * u)) / u
-            for u in range(lo, hi + 1)
-        ))
-    return SpectrumEstimate(kind="assouad", thetas=thetas, values=tuple(values),
-                            window=(lo, hi), warning=hi - lo + 1 < 4)
+    return _windowed(table, theta_grid, window, "assouad",
+                     lambda theta, u: math.floor(theta * u), max)
 
 
 @dataclass(frozen=True)

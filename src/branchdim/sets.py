@@ -30,7 +30,7 @@ from .branch import LipschitzProfile
 from .counting import IntervalSet
 from .errors import ParameterError
 from .spectra import Spectrum, _chain_holds, check_inequality
-from ._num import Rational, as_fraction
+from ._num import Rational, as_fraction, lipschitz_minorant, merge_ranges
 
 __all__ = [
     "SubdivisionProfile",
@@ -84,15 +84,7 @@ class DyadicSet:
         if not (0 <= level <= self.depth):
             raise ParameterError(f"level {level} outside [0, {self.depth}]")
         shift = self.depth - level
-        out: list[tuple[int, int]] = []
-        for s, e in self.runs:
-            lo, hi = s >> shift, ((e - 1) >> shift) + 1
-            if out and lo <= out[-1][1]:
-                if hi > out[-1][1]:
-                    out[-1] = (out[-1][0], hi)
-            else:
-                out.append((lo, hi))
-        return out
+        return merge_ranges((s >> shift, ((e - 1) >> shift) + 1) for s, e in self.runs)
 
     def level_count(self, level: int) -> int:
         """Number of retained cubes at the given level."""
@@ -152,10 +144,10 @@ class Assembly:
 def profile_from_lipschitz(f: LipschitzProfile, d: int, depth: int) -> SubdivisionProfile:
     """Integer profile below a growth function.
 
-    ``h(k) = min(floor(f(k)), h(k-1) + d)`` followed by a suffix-minimum
-    monotonicity pass; for ``f`` increasing and d-Lipschitz with f(0) = 0
-    this is the maximal integer-valued non-decreasing d-Lipschitz sequence
-    under ``f``, and it satisfies ``f(k) - 1 < h(k) <= f(k)``.
+    ``h`` is ``lipschitz_minorant`` of ``floor(f(k))``, k = 0..depth, with
+    step d: the maximal integer-valued non-decreasing d-Lipschitz sequence
+    under ``f``.  For ``f`` increasing and d-Lipschitz with f(0) = 0 it
+    satisfies ``f(k) - 1 < h(k) <= f(k)``.
     """
     if d < 1:
         raise ParameterError("d must be a positive integer")
@@ -163,11 +155,7 @@ def profile_from_lipschitz(f: LipschitzProfile, d: int, depth: int) -> Subdivisi
         raise ParameterError("depth must be non-negative")
     if f.at(0) != 0:
         raise ParameterError(f"profile source must vanish at 0, got {f.at(0)}")
-    h = [0]
-    for k in range(1, depth + 1):
-        h.append(min(math.floor(f.at(k)), h[-1] + d))
-    for k in range(depth - 1, -1, -1):
-        h[k] = min(h[k], h[k + 1])
+    h = lipschitz_minorant([math.floor(f.at(k)) for k in range(depth + 1)], d)
     return SubdivisionProfile(d, tuple(h[k] - h[k - 1] for k in range(1, depth + 1)))
 
 
@@ -277,10 +265,12 @@ def build_assembly(spec: Spectrum, d: int = 1, k_max: int = 8,
     (zero below u = k) drives a Moran set built at local depth
     ``depth - k``, scaled to side ``2^-k`` and translated to
     ``[4*2^-k, 5*2^-k]``.  The origin joins as the accumulation point of
-    the sequence.  A spectrum failing the superadditivity or
-    weak-Lipschitz check (read in one scan of the paper's chain) still
-    builds, with ``certified=False``, so the verification pipeline can
-    gate on the flag.
+    the sequence.  ``certified`` is one scan of the paper's chain (S and
+    W).  Each strip profile must vanish at 0 and be non-decreasing and
+    alpha-Lipschitz, which S and W guarantee; a spectrum outside the class
+    builds, uncertified, only when its strips for k <= k_max happen to do
+    so, and otherwise raises ``ParameterError`` from the strip profile
+    (e.g. "profile must vanish at 0" when phi(1) != 0).
     """
     if d != 1:
         raise ParameterError("assemblies are one-dimensional in this toolkit")
@@ -335,34 +325,32 @@ def enumerate_components(obj, resolution: int) -> IntervalSet:
 
     The output is the level-``resolution`` cube cover of the construction:
     maximal runs of touching cubes merge into single intervals.  At
-    ``resolution == depth`` this is exactly the truncated set.  The
-    assembly's origin stays an exact degenerate interval rather than being
-    fattened to a cube; at the scales the toolkit counts, the two choices
-    give identical packings, and the point form matches the constructed
-    set.  Endpoints stay integer numerators over ``2^resolution`` from the
-    construction's runs to the returned set; only shifts are involved.
+    ``resolution == depth`` this is exactly the truncated set.  A Moran
+    set flattens as an assembly with one component at offset 0 and no
+    origin.  The assembly's origin stays an exact degenerate interval
+    rather than being fattened to a cube; at the scales the toolkit
+    counts, the two choices give identical packings, and the point form
+    matches the constructed set.  Endpoints stay integer numerators over
+    ``2^resolution`` from the construction's runs to the returned set;
+    only shifts are involved.
     """
     if isinstance(obj, DyadicSet):
-        if resolution > obj.depth:
-            raise ParameterError(
-                f"resolution {resolution} exceeds construction depth {obj.depth}"
-            )
-        return IntervalSet(obj.runs_at_level(resolution), scale=resolution)
-    if isinstance(obj, Assembly):
-        if resolution > obj.depth:
-            raise ParameterError(
-                f"resolution {resolution} exceeds construction depth {obj.depth}"
-            )
-        # Component k's run (s, e) sits at ((4 << (depth-k)) + s) / 2^depth;
-        # floor the left end and ceil the right end to level-resolution cubes.
-        sh = obj.depth - resolution
+        ranges, parts = [], [(0, obj)]
+    elif isinstance(obj, Assembly):
+        # component k's runs start at offset 4/2^k = (4 << (depth-k)) / 2^depth
         ranges = [(0, 0)]  # the origin
-        for comp in obj.components:
-            base = 4 << (obj.depth - comp.k)
-            ranges.extend(((base + s) >> sh, -((-(base + e)) >> sh))
-                          for s, e in comp.dset.runs)
-        return IntervalSet(ranges, scale=resolution)
-    raise ParameterError(f"cannot enumerate {type(obj).__name__}")
+        parts = [(4 << (obj.depth - c.k), c.dset) for c in obj.components]
+    else:
+        raise ParameterError(f"cannot enumerate {type(obj).__name__}")
+    if resolution > obj.depth:
+        raise ParameterError(
+            f"resolution {resolution} exceeds construction depth {obj.depth}"
+        )
+    # floor each run's left end and ceil its right end to level-resolution cubes
+    sh = obj.depth - resolution
+    for base, dset in parts:
+        ranges.extend(((base + s) >> sh, -((-(base + e)) >> sh)) for s, e in dset.runs)
+    return IntervalSet(ranges, scale=resolution)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, FormatError, ParameterError
-from ._num import Rational, as_fraction, fmt_decimal, fmt_number
+from ._num import Rational, as_fraction, fmt_decimal, fmt_number, interpolate, slopes
 
 __all__ = [
     "Spectrum",
@@ -120,22 +120,11 @@ class Spectrum:
 
     def eval_exact(self, theta: Fraction) -> Fraction:
         """Exact value at an in-range Fraction argument (no domain check)."""
-        bps = self.breakpoints
-        i = bisect_right(bps, theta) - 1
-        if i == len(bps) - 1:
-            return self.values[-1]
-        x0, x1 = bps[i], bps[i + 1]
-        y0, y1 = self.values[i], self.values[i + 1]
-        return y0 + (y1 - y0) * (theta - x0) / (x1 - x0)
+        return interpolate(self.breakpoints, self.values, theta)
 
     def piece_slopes(self) -> tuple[Fraction, ...]:
         """Exact slope of each affine piece, left to right."""
-        return tuple(
-            (v1 - v0) / (x1 - x0)
-            for (x0, x1, v0, v1) in zip(
-                self.breakpoints, self.breakpoints[1:], self.values, self.values[1:]
-            )
-        )
+        return tuple(slopes(self.breakpoints, self.values))
 
 
 @dataclass(frozen=True)
@@ -297,15 +286,10 @@ def make_q(alpha: Rational, a1: Rational, a2: Rational, kappa: Rational) -> Spec
     return Spectrum(tuple(bps), tuple(vals), a, "q", params)
 
 
-def _pieces(spec: Spectrum) -> list[tuple[Fraction, Fraction, Fraction, Fraction]]:
-    """Affine pieces as (x0, x1, intercept, slope)."""
-    out = []
-    for x0, x1, y0, y1 in zip(
-        spec.breakpoints, spec.breakpoints[1:], spec.values, spec.values[1:]
-    ):
-        slope = (y1 - y0) / (x1 - x0)
-        out.append((x0, x1, y0 - slope * x0, slope))
-    return out
+def _pieces(spec: Spectrum) -> list[tuple[Fraction, Fraction, Fraction]]:
+    """Affine pieces as (start, intercept, slope), left to right."""
+    return [(x0, y0 - s * x0, s)
+            for x0, y0, s in zip(spec.breakpoints, spec.values, spec.piece_slopes())]
 
 
 def min_family(specs) -> Spectrum:
@@ -329,19 +313,13 @@ def min_family(specs) -> Spectrum:
         knots.update(s.breakpoints)
     base = sorted(knots)
     pieces = [_pieces(s) for s in specs]
-
-    def piece_at(idx: int, x0: Fraction):
-        for (p0, p1, a, b) in pieces[idx]:
-            if p0 <= x0 < p1:
-                return a, b
-        return pieces[idx][-1][2], pieces[idx][-1][3]
-
     crossings: set[Fraction] = set()
     for x0, x1 in zip(base, base[1:]):
-        for i in range(len(specs)):
-            ai, bi = piece_at(i, x0)
-            for j in range(i + 1, len(specs)):
-                aj, bj = piece_at(j, x0)
+        # the piece of each spectrum covering [x0, x1)
+        here = [ps[bisect_right(s.breakpoints, x0) - 1][1:]
+                for s, ps in zip(specs, pieces)]
+        for i, (ai, bi) in enumerate(here):
+            for aj, bj in here[i + 1:]:
                 if bi == bj:
                     continue
                 x = (aj - ai) / (bi - bj)
@@ -399,14 +377,14 @@ def _integer_form(specs, points: list[Fraction]):
     pieces = [_pieces(spec) for spec in specs]
     lcm = math.lcm(
         specs[0].alpha.denominator,
-        *(x.denominator for ps in pieces for (_, _, a, s) in ps for x in (a, s)),
+        *(x.denominator for ps in pieces for (_, a, s) in ps for x in (a, s)),
     )
     den2 = den * den
     tables = []
     for ps in pieces:
-        starts = [-(-x0.numerator * den2 // x0.denominator) for x0, _, _, _ in ps]
-        icpt = [(a * lcm).numerator * den2 for _, _, a, _ in ps]
-        slope = [(s * lcm).numerator for _, _, _, s in ps]
+        starts = [-(-x0.numerator * den2 // x0.denominator) for x0, _, _ in ps]
+        icpt = [(a * lcm).numerator * den2 for _, a, _ in ps]
+        slope = [(s * lcm).numerator for _, _, s in ps]
         vals = []
         for n in nums:
             i = bisect_right(starts, n * den) - 1
@@ -526,16 +504,11 @@ def check_inequality(
         raise ParameterError(f"unknown inequality {inequality!r}")
 
     if inequality == "L":
-        alpha = spec.alpha
-        worst = None
-        witness = None
-        for x0, x1, y0, y1 in zip(
-            spec.breakpoints, spec.breakpoints[1:], spec.values, spec.values[1:]
-        ):
-            margin = abs((y1 - y0) / (x1 - x0)) - alpha
-            if worst is None or margin > worst:
-                worst, witness = margin, (float(x0), float(x1))
-        return _report(inequality, worst, witness, tolerance)
+        bps = spec.breakpoints
+        margins = [abs(s) - spec.alpha for s in spec.piece_slopes()]
+        i = margins.index(max(margins))  # the first piece with the worst margin
+        return _report(inequality, margins[i], (float(bps[i]), float(bps[i + 1])),
+                       tolerance)
 
     if inequality == "M":
         points = _sample_points(spec, grid_resolution)

@@ -487,6 +487,29 @@ class TestCertificationIsOneChainScan:
             assert_certified_as_two_calls(spec, grid)
 
 
+class TestOutOfClassAssembly:
+    """Outside the class an assembly builds uncertified or raises."""
+
+    def test_steep_middle_raises(self):
+        spec = ORACLE_SPECTRA["steep-middle"]
+        assert check_inequality(spec, "S", 64).passed
+        assert not check_inequality(spec, "W", 64).passed
+        with pytest.raises(ParameterError,
+                           match=r"^profile slope exceeds alpha=1 on \[7/9, 1\]$"):
+            build_assembly(spec, k_max=1, depth=2)
+
+    def test_swept_nonzero_at_one_raises(self):
+        spec = swept_spectrum([19, 3], [4, 1, 7, 12, 7, 7], 1)
+        assert spec.values[-1] == 1
+        with pytest.raises(ParameterError, match="^profile must vanish at 0$"):
+            build_assembly(spec, k_max=1, depth=2)
+
+    def test_swept_builds_uncertified(self):
+        spec = swept_spectrum([6, 10], [6, 8, 2, 0, 11, 10], 1)
+        assert not check_inequality(spec, "S", 64).passed
+        assert not build_assembly(spec, k_max=1, depth=2).certified
+
+
 class TestSerialization:
     def test_family_line_roundtrip(self):
         q = make_q(1, F(1, 2), F(2, 3), F(1, 4))
