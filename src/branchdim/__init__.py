@@ -27,7 +27,6 @@ from .spectra import (
     min_family,
     spectrum_from_breakpoints,
     spectrum_from_text,
-    spectrum_to_csv,
     spectrum_to_text,
 )
 from .branch import (
@@ -35,13 +34,10 @@ from .branch import (
     GridBranch,
     LipschitzProfile,
     check_branch,
-    equiv_compare,
-    inf_branch,
     lambda_limit,
     lift,
     max_lipschitz_minorant,
     regularize,
-    strip_envelope,
 )
 from .sets import (
     Assembly,

@@ -7,16 +7,15 @@ superadditive under splitting the scale range at any intermediate ``w``,
 and are alpha-Lipschitz in ``u``.  This module provides the evaluable
 variants used by the rest of the toolkit:
 
-* ``lift``            -- ``f(u, v) = u * phi(v / u)`` from a spectrum,
-* ``strip_envelope``  -- the envelope built from a one-variable profile
+* ``lift``                -- ``f(u, v) = u * phi(v / u)`` from a spectrum,
+* ``StripEnvelopeBranch`` -- the envelope built from a one-variable profile
   ``g`` and a base height ``z``,
-* ``inf_branch``      -- pointwise minima of families,
-* ``GridBranch``      -- explicit integer-grid samples, handy for
+* ``InfBranch``           -- pointwise minima of families,
+* ``GridBranch``          -- explicit integer-grid samples, handy for
   perturbation experiments,
 
 plus the operations on them: the maximal increasing Lipschitz minorant,
-Lipschitz regularization, the normalized scale limit, property checks,
-and the shifted-sandwich comparison.
+Lipschitz regularization, the normalized scale limit and property checks.
 
 Values are exact Fractions, so tolerance-zero property checks are
 meaningful.  The output of ``regularize`` answers integer points from a
@@ -32,8 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, ParameterError
-from ._num import (Rational, as_fraction, fmt_decimal, fmt_number, interpolate,
-                   lipschitz_minorant, slopes)
+from ._num import Rational, as_fraction, interpolate, lipschitz_minorant, slopes
 from .spectra import Spectrum, _chain_holds
 
 __all__ = [
@@ -45,18 +43,12 @@ __all__ = [
     "LipschitzProfile",
     "EtaBound",
     "BranchReport",
-    "EquivReport",
     "PreconditionReport",
     "lift",
-    "strip_envelope",
-    "inf_branch",
     "max_lipschitz_minorant",
     "regularize",
     "lambda_limit",
     "check_branch",
-    "equiv_compare",
-    "branch_to_csv",
-    "profile_to_csv",
 ]
 
 
@@ -119,6 +111,8 @@ class EtaBound:
         if self._constant is not None and self._constant < 0:
             raise ParameterError("eta must be non-negative")
         self.threshold = as_fraction(threshold)
+        if self.threshold < 0:
+            raise ParameterError(f"threshold must be non-negative, got {self.threshold}")
 
     @classmethod
     def const(cls, c: Rational, threshold: Rational = 1) -> "EtaBound":
@@ -225,10 +219,10 @@ class InfBranch(BranchFn):
                  _table: list[list[Fraction]] | None = None):
         members = tuple(members)
         if not members:
-            raise ParameterError("inf_branch needs a non-empty family")
+            raise ParameterError("InfBranch needs a non-empty family")
         u_max = members[0].u_max
         if any(m.u_max != u_max for m in members):
-            raise ParameterError("inf_branch members must share u_max")
+            raise ParameterError("InfBranch members must share u_max")
         certified = all(m.certified for m in members)
         if precondition is not None and not precondition.passed:
             certified = False
@@ -247,32 +241,38 @@ class InfBranch(BranchFn):
 
 
 class GridBranch(BranchFn):
-    """Explicit samples on the integer grid.
+    """Explicit samples on the integer grid, never certified.
 
-    Used for perturbation experiments and as the parsing target of the
-    ``u,v,value`` CSV format.  Values are exact Fractions.  ``u`` must be
-    an integer; a fractional ``v`` rounds up to the next integer, the same
-    pessimistic convention the lower-spectrum estimator uses, so windowed
-    limits work on grid-backed functions too.
+    Used for perturbation experiments.  Keys must be integer points
+    0 <= v <= u <= u_max, and every such point needs a sample; values are
+    exact Fractions.  ``u`` must be an integer; a fractional ``v`` rounds
+    up to the next integer, the same pessimistic convention the
+    lower-spectrum estimator uses, so windowed limits work on grid-backed
+    functions too.
     """
 
-    def __init__(self, samples: dict[tuple[int, int], Rational], u_max: int,
-                 certified: bool = False):
-        super().__init__(u_max, certified)
-        self.samples = {
-            (int(u), int(v)): as_fraction(x) for (u, v), x in samples.items()
-        }
-        for u in range(int(u_max) + 1):
+    def __init__(self, samples: dict[tuple[int, int], Rational], u_max: int):
+        super().__init__(u_max, False)
+        top = int(u_max)
+        self.samples = {}
+        for (u, v), x in samples.items():
+            if u != int(u) or v != int(v):
+                raise ParameterError(f"grid sample key ({u}, {v}) is not an integer point")
+            if not 0 <= v <= u <= top:
+                raise ParameterError(
+                    f"grid sample key ({u}, {v}) outside 0 <= v <= u <= {top}")
+            self.samples[int(u), int(v)] = as_fraction(x)
+        for u in range(top + 1):
             for v in range(u + 1):
                 if (u, v) not in self.samples:
                     raise ParameterError(f"grid sample missing at ({u}, {v})")
 
     @classmethod
-    def from_function(cls, fn, u_max: int, certified: bool = False) -> "GridBranch":
+    def from_function(cls, fn, u_max: int) -> "GridBranch":
         samples = {
             (u, v): fn(u, v) for u in range(int(u_max) + 1) for v in range(u + 1)
         }
-        return cls(samples, u_max, certified)
+        return cls(samples, u_max)
 
     def value(self, u: Rational, v: Rational) -> Fraction:
         uu, vv = self._domain(u, v)
@@ -291,30 +291,6 @@ def lift(spec: Spectrum, u_max: Rational, cert_grid: int = 64) -> LiftBranch:
     tests need broken examples to probe the checkers.
     """
     return LiftBranch(spec, u_max, certified=_chain_holds(spec, cert_grid))
-
-
-def strip_envelope(g: LipschitzProfile, z: Rational, alpha: Rational,
-                   u_max: Rational | None = None) -> StripEnvelopeBranch:
-    """Build the envelope with base height ``z`` from profile ``g``.
-
-    Requires ``g`` to vanish on [0, z]; rejects profiles steeper than
-    ``alpha``.  ``u_max`` defaults to the last knot of ``g``.
-    """
-    zz = as_fraction(z)
-    if zz < 0:
-        raise ParameterError("z must be non-negative")
-    if g.at(zz) != 0:
-        raise ParameterError(f"profile must vanish on [0, z]; g({zz}) = {g.at(zz)}")
-    a = as_fraction(alpha)
-    if len(g.knots) > 1 and g.max_slope() > a:
-        raise ParameterError("profile slope exceeds the requested alpha")
-    top = g.knots[-1] if u_max is None else as_fraction(u_max)
-    return StripEnvelopeBranch(g, zz, a, top)
-
-
-def inf_branch(members) -> InfBranch:
-    """Pointwise minimum; certified when every member is."""
-    return InfBranch(members)
 
 
 def max_lipschitz_minorant(samples, alpha: Rational) -> LipschitzProfile:
@@ -501,69 +477,3 @@ def check_branch(f: BranchFn, alpha: Rational,
         lipschitz_witness=wit_l,
         tolerance=tolerance,
     )
-
-
-@dataclass(frozen=True)
-class EquivReport:
-    """Outcome of the shifted-sandwich comparison of two branch functions."""
-
-    passed: bool
-    worst_violation: float
-    witness: tuple[int, int] | None
-    direction: str | None
-    shift: float
-
-
-def equiv_compare(f: BranchFn, g: BranchFn, z: Rational) -> EquivReport:
-    """Check ``f(u, v+z) - z <= g(u, v)`` and the mirrored clause.
-
-    Sampled on the integer grid; pairs where ``v + z`` would cross the
-    diagonal are skipped, matching the domain of the definition.  Returns
-    the worst margin, its location, and which clause was binding.
-    """
-    zz = as_fraction(z)
-    if zz < 0:
-        raise ParameterError("shift z must be non-negative")
-    if f.u_max != g.u_max:
-        raise ParameterError("equiv_compare requires a common u_max")
-    top = int(f.u_max)
-    worst = None
-    witness = None
-    direction = None
-    for u in range(top + 1):
-        for v in range(u + 1):
-            if v + zz > u:
-                continue
-            m1 = f.value(u, v + zz) - zz - g.value(u, v)
-            m2 = g.value(u, v + zz) - zz - f.value(u, v)
-            for name, m in (("f-vs-g", m1), ("g-vs-f", m2)):
-                if worst is None or m > worst:
-                    worst, witness, direction = m, (u, v), name
-    violation = max(0.0, float(worst)) if worst is not None else 0.0
-    return EquivReport(
-        passed=violation == 0.0,
-        worst_violation=violation,
-        witness=witness,
-        direction=direction,
-        shift=float(zz),
-    )
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def branch_to_csv(f: BranchFn) -> str:
-    """CSV ``u,v,value`` over the integer sample grid."""
-    rows = ["u,v,value"]
-    for u in range(int(f.u_max) + 1):
-        for v in range(u + 1):
-            rows.append(f"{u},{v},{fmt_decimal(f.value(u, v))}")
-    return "\n".join(rows) + "\n"
-
-
-def profile_to_csv(profile: LipschitzProfile) -> str:
-    """CSV ``u,value`` at the profile's knots (exact where terminating)."""
-    rows = ["u,value"]
-    for k, v in zip(profile.knots, profile.values):
-        rows.append(f"{fmt_number(k)},{fmt_number(v)}")
-    return "\n".join(rows) + "\n"

@@ -468,11 +468,6 @@ class SpectrumEstimate:
     window: tuple
     warning: bool = False
 
-    def dimensions(self) -> list[float]:
-        """values divided by (1-theta); infinity at theta = 1."""
-        return [v / (1 - float(t)) if t != 1 else math.inf
-                for t, v in zip(self.thetas, self.values)]
-
 
 def _resolve_window(window, u_max: int) -> tuple[int, int]:
     if window is None:

@@ -169,6 +169,8 @@ def build_moran(profile: SubdivisionProfile, depth: int) -> DyadicSet:
     """
     if profile.d != 1:
         raise ParameterError(f"Moran sets are one-dimensional, got d={profile.d}")
+    if depth < 0:
+        raise ParameterError(f"depth must be non-negative, got {depth}")
     if depth > len(profile.a):
         raise ParameterError(
             f"profile has {len(profile.a)} entries, need at least {depth}"
@@ -342,6 +344,8 @@ def enumerate_components(obj, resolution: int) -> IntervalSet:
         parts = [(4 << (obj.depth - c.k), c.dset) for c in obj.components]
     else:
         raise ParameterError(f"cannot enumerate {type(obj).__name__}")
+    if resolution < 0:
+        raise ParameterError(f"resolution must be non-negative, got {resolution}")
     if resolution > obj.depth:
         raise ParameterError(
             f"resolution {resolution} exceeds construction depth {obj.depth}"

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, FormatError, ParameterError
-from ._num import Rational, as_fraction, fmt_decimal, fmt_number, interpolate, slopes
+from ._num import Rational, as_fraction, fmt_number, interpolate, slopes
 
 __all__ = [
     "Spectrum",
@@ -54,7 +54,6 @@ __all__ = [
     "spectrum_from_breakpoints",
     "spectrum_to_text",
     "spectrum_from_text",
-    "spectrum_to_csv",
 ]
 
 INEQUALITIES = ("S", "W", "M", "L", "AQ")
@@ -99,7 +98,6 @@ class Spectrum:
     breakpoints: tuple[Fraction, ...]
     values: tuple[Fraction, ...]
     alpha: Fraction
-    kind: str = "generic"
     params: FamilyParams | None = None
 
     def __post_init__(self):
@@ -161,15 +159,12 @@ def eval_spectrum(spec: Spectrum, theta: Rational):
     return float(y) if want_float else y
 
 
-def spectrum_from_breakpoints(
-    breakpoints, values, alpha: Rational, kind: str = "generic"
-) -> Spectrum:
+def spectrum_from_breakpoints(breakpoints, values, alpha: Rational) -> Spectrum:
     """Build a validated Spectrum from raw breakpoint/value sequences."""
     return Spectrum(
         tuple(as_fraction(b) for b in breakpoints),
         tuple(as_fraction(v) for v in values),
         as_fraction(alpha),
-        kind=kind,
     )
 
 
@@ -190,10 +185,10 @@ def _two_piece(kind: str, alpha: Rational, lam: Rational, t: Rational) -> Spectr
         )
     params = FamilyParams(kind=kind, alpha=a, lam=l, t=tt)
     if l == 1:
-        return Spectrum((Fraction(0), Fraction(1)), (a, Fraction(0)), a, kind, params)
+        return Spectrum((Fraction(0), Fraction(1)), (a, Fraction(0)), a, params)
     at_zero = a if kind == "phi" else tt + a * l
     return Spectrum(
-        (Fraction(0), l, Fraction(1)), (at_zero, tt, Fraction(0)), a, kind, params
+        (Fraction(0), l, Fraction(1)), (at_zero, tt, Fraction(0)), a, params
     )
 
 
@@ -283,7 +278,7 @@ def make_q(alpha: Rational, a1: Rational, a2: Rational, kappa: Rational) -> Spec
             continue
         bps.append(x)
         vals.append(y)
-    return Spectrum(tuple(bps), tuple(vals), a, "q", params)
+    return Spectrum(tuple(bps), tuple(vals), a, params)
 
 
 def _pieces(spec: Spectrum) -> list[tuple[Fraction, Fraction, Fraction]]:
@@ -328,7 +323,7 @@ def min_family(specs) -> Spectrum:
     knots.update(crossings)
     bps = tuple(sorted(knots))
     vals = tuple(min(s.eval_exact(x) for s in specs) for x in bps)
-    return Spectrum(bps, vals, alpha, kind="min")
+    return Spectrum(bps, vals, alpha)
 
 
 def _sample_points(spec: Spectrum, grid_resolution: int) -> list[Fraction]:
@@ -660,13 +655,3 @@ def spectrum_from_text(text: str) -> Spectrum:
     except ParameterError as exc:
         raise FormatError(f"bad spectrum parameters: {exc}") from exc
 
-
-def spectrum_to_csv(spec: Spectrum, resolution: int = 256) -> str:
-    """CSV sampling ``theta,value`` at resolution+1 evenly spaced thetas."""
-    if resolution < 1:
-        raise ParameterError("resolution must be positive")
-    rows = ["theta,value"]
-    for i in range(resolution + 1):
-        theta = Fraction(i, resolution)
-        rows.append(f"{fmt_decimal(theta)},{fmt_decimal(spec.eval_exact(theta))}")
-    return "\n".join(rows) + "\n"

@@ -11,18 +11,15 @@ from branchdim.branch import (
     BranchReport,
     EtaBound,
     GridBranch,
+    InfBranch,
     LipschitzProfile,
+    StripEnvelopeBranch,
     check_branch,
-    equiv_compare,
-    inf_branch,
     lambda_limit,
     lift,
     max_lipschitz_minorant,
     PreconditionReport,
-    profile_to_csv,
-    branch_to_csv,
     regularize,
-    strip_envelope,
 )
 from branchdim.errors import DomainError, ParameterError
 from branchdim.spectra import (
@@ -100,24 +97,19 @@ class TestLift:
 class TestStripEnvelope:
     def test_zero_profile_gives_two_branch_formula(self):
         g = LipschitzProfile((F(0), F(10)), (F(0), F(0)), F(1))
-        h = strip_envelope(g, 4, 1, 10)
+        h = StripEnvelopeBranch(g, 4, 1, 10)
         assert h.value(9, 2) == 7  # alpha * (u - v) below the base height
         assert h.value(9, 5) == 0
 
     def test_ramp_profile_frozen_values(self):
         g = LipschitzProfile((F(0), F(3), F(13)), (F(0), F(0), F(10)), F(1))
-        h = strip_envelope(g, 3, 1, 13)
+        h = StripEnvelopeBranch(g, 3, 1, 13)
         assert h.value(10, 5) == 5
         assert h.value(10, 2) == 8
 
-    def test_rejects_profile_not_vanishing_below_base(self):
-        g = LipschitzProfile((F(0), F(2), F(4)), (F(0), F(1), F(2)), F(1))
-        with pytest.raises(ParameterError):
-            strip_envelope(g, 3, 1)
-
     def test_certified_and_passes_checks(self):
         g = LipschitzProfile((F(0), F(3), F(13)), (F(0), F(0), F(10)), F(1))
-        h = strip_envelope(g, 3, 1, 13)
+        h = StripEnvelopeBranch(g, 3, 1, 13)
         assert h.certified
         assert check_branch(h, 1).passed
 
@@ -125,7 +117,7 @@ class TestStripEnvelope:
 class TestInfBranch:
     def test_single_member_same_values(self):
         L = lift(make_phi(1, F(1, 2), F(1, 4)), 10)
-        one = inf_branch([L])
+        one = InfBranch([L])
         assert all(
             one.value(u, v) == L.value(u, v)
             for u in range(11)
@@ -135,16 +127,16 @@ class TestInfBranch:
     def test_componentwise_minimum(self):
         L = lift(make_phi(1, F(1, 2), F(1, 4)), 16)
         S = lift(make_phi(1, 1, 0), 16)
-        m = inf_branch([L, S])
+        m = InfBranch([L, S])
         assert m.value(8, 4) == 2
         assert m.certified
         assert check_branch(m, 1).passed
 
     def test_mismatched_u_max_rejected(self):
-        with pytest.raises(ParameterError):
-            inf_branch([lift(make_phi(1, 1, 0), 8), lift(make_phi(1, 1, 0), 9)])
-        with pytest.raises(ParameterError):
-            inf_branch([])
+        with pytest.raises(ParameterError, match="InfBranch members must share u_max"):
+            InfBranch([lift(make_phi(1, 1, 0), 8), lift(make_phi(1, 1, 0), 9)])
+        with pytest.raises(ParameterError, match="InfBranch needs a non-empty family"):
+            InfBranch([])
 
 
 class TestMaxLipschitzMinorant:
@@ -238,15 +230,15 @@ class TestRegularize:
             regularize(L, 1, EtaBound.const(100, threshold=1))
 
     def test_inf_of_strips_matches_regularize_output(self):
-        # building the strips by hand and taking inf_branch reproduces
+        # building the strips by hand and taking their InfBranch reproduces
         # regularize's value on the sample grid
         L = lift(make_phi(1, F(1, 2), F(1, 4)), 10)
         reg = regularize(L, 1, EtaBound.const(0))
         strips = []
         for z in range(11):
             samples = [(u, L.value(u, z)) for u in range(z, 11)]
-            strips.append(strip_envelope(max_lipschitz_minorant(samples, 1), z, 1, 10))
-        manual = inf_branch(strips)
+            strips.append(StripEnvelopeBranch(max_lipschitz_minorant(samples, 1), z, 1, 10))
+        manual = InfBranch(strips)
         assert all(
             manual.value(u, v) == reg.value(u, v)
             for u in range(11)
@@ -280,6 +272,22 @@ class TestLambdaLimit:
         with pytest.raises(ParameterError):
             lambda_limit(L, F(1, 2), 2, 32)
 
+    def test_equivalence_bounds_normalized_limits(self):
+        # when the shifted sandwich f(u, v+z) - z <= g(u, v) and its mirror
+        # hold, the windowed limits differ by at most z * (1 + slope bound) / u_min
+        u_min, z, slope_bound = 5, 1, 1
+        f = GridBranch.from_function(lambda u, v: F(u - v), 20)
+        g = GridBranch.from_function(lambda u, v: F(max(0, u - v - 1)), 20)
+        for u in range(21):
+            for v in range(u - z + 1):
+                assert f.value(u, v + z) - z <= g.value(u, v)
+                assert g.value(u, v + z) - z <= f.value(u, v)
+        for i in range(1, 5):
+            theta = F(i, 4)
+            lf = lambda_limit(f, theta, u_min, 20)
+            lg = lambda_limit(g, theta, u_min, 20)
+            assert abs(lf - lg) <= F(z * (1 + slope_bound), u_min)
+
 
 class TestCheckBranch:
     def test_lift_passes_at_zero_tolerance(self):
@@ -307,49 +315,50 @@ class TestCheckBranch:
         assert check_branch(steep, 2).passed
 
 
-class TestEquivCompare:
-    def test_identical_functions(self):
-        f = GridBranch.from_function(lambda u, v: F(u - v), 10)
-        assert equiv_compare(f, f, 0).passed
+class TestGridBranch:
+    def test_samples_and_ceiling_lookup(self):
+        g = GridBranch({(0, 0): 0, (1, 0): F(3, 2), (1, 1): 0}, 1)
+        assert not g.certified
+        assert g.value(1, 0) == F(3, 2)
+        assert g.value(1, F(1, 2)) == 0  # fractional v rounds up
 
-    def test_unit_shift_absorbs_unit_defect(self):
-        f = GridBranch.from_function(lambda u, v: F(u - v), 10)
-        g = GridBranch.from_function(lambda u, v: F(max(0, u - v - 1)), 10)
-        assert equiv_compare(f, g, 1).passed
+    def test_integral_non_int_keys_accepted(self):
+        g = GridBranch({(F(0), 0): 0, (F(1), 0.0): 1, (1, F(1)): 0}, 1)
+        assert g.samples == {(0, 0): 0, (1, 0): 1, (1, 1): 0}
 
-    def test_zero_function_not_equivalent(self):
-        f = GridBranch.from_function(lambda u, v: F(u - v), 10)
-        g = GridBranch.from_function(lambda u, v: F(0), 10)
-        rep = equiv_compare(f, g, 1)
-        assert not rep.passed
-        assert rep.witness == (10, 0)
+    def test_non_integral_key_rejected(self):
+        # int() would fold (1/2, 0) onto the origin and overwrite its sample
+        samples = {(0, 0): 0, (F(1, 2), 0): 1, (1, 0): 1, (1, 1): 0}
+        with pytest.raises(ParameterError,
+                           match=r"key \(1/2, 0\) is not an integer point"):
+            GridBranch(samples, 1)
+        with pytest.raises(ParameterError, match="not an integer point"):
+            GridBranch({(0, 0): 0, (1, 0.5): 1, (1, 0): 1, (1, 1): 0}, 1)
 
-    def test_equivalence_bounds_normalized_limits(self):
-        # when the sandwich holds with shift z, the windowed limits differ
-        # by at most z * (1 + slope bound) / u_min
-        u_min, z, slope_bound = 5, 1, 1
-        f = GridBranch.from_function(lambda u, v: F(u - v), 20)
-        g = GridBranch.from_function(lambda u, v: F(max(0, u - v - 1)), 20)
-        assert equiv_compare(f, g, z).passed
-        for i in range(1, 5):
-            theta = F(i, 4)
-            lf = lambda_limit(f, theta, u_min, 20)
-            lg = lambda_limit(g, theta, u_min, 20)
-            assert abs(lf - lg) <= F(z * (1 + slope_bound), u_min)
+    @pytest.mark.parametrize("key", [(1, 2), (9, 0), (-1, -1), (0, -1)])
+    def test_out_of_domain_key_rejected(self, key):
+        samples = {(0, 0): 0, (1, 0): 1, (1, 1): 0, key: 5}
+        with pytest.raises(ParameterError,
+                           match=rf"key \({key[0]}, {key[1]}\) outside 0 <= v <= u <= 1"):
+            GridBranch(samples, 1)
+
+    def test_missing_sample_rejected(self):
+        with pytest.raises(ParameterError, match=r"missing at \(1, 1\)"):
+            GridBranch({(0, 0): 0, (1, 0): 1}, 1)
 
 
-class TestSerialization:
-    def test_branch_csv_shape(self):
-        L = lift(make_phi(1, 1, 0), 3)
-        text = branch_to_csv(L)
-        lines = text.strip().splitlines()
-        assert lines[0] == "u,v,value"
-        assert len(lines) == 1 + 4 + 3 + 2 + 1
-        assert lines[1] == "0,0,0"
+class TestEtaBound:
+    def test_negative_threshold_rejected(self):
+        with pytest.raises(ParameterError, match="threshold must be non-negative, got -1"):
+            EtaBound.const(0, threshold=-1)
+        profile = LipschitzProfile((F(0), F(4)), (F(0), F(1)), F(1))
+        with pytest.raises(ParameterError, match="threshold must be non-negative"):
+            EtaBound(profile=profile, threshold=F(-1, 2))
 
-    def test_profile_csv_exact(self):
-        g = LipschitzProfile((F(0), F(3), F(13)), (F(0), F(0), F(10)), F(1))
-        assert profile_to_csv(g) == "u,value\n0,0\n3,0\n13,10\n"
+    def test_zero_threshold_admits_zero_eta_only(self):
+        EtaBound.const(0, threshold=0).validate(10)
+        with pytest.raises(ParameterError, match="sublinearity threshold 0"):
+            EtaBound.const(1, threshold=0).validate(10)
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +604,7 @@ def assert_table_matches_members(reg):
     Non-integer and Fraction-typed points take the members path, so they
     are sampled sparsely to keep the test quick.
     """
-    old = inf_branch(reg.members)  # no table: every point evaluates the members
+    old = InfBranch(reg.members)  # no table: every point evaluates the members
     top = int(reg.u_max)
     samples = {}
     for u in range(top + 1):

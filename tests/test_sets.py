@@ -191,6 +191,10 @@ class TestBuildMoran:
         with pytest.raises(ParameterError):
             build_moran(SubdivisionProfile(1, (1, 1)), 3)
 
+    def test_negative_depth_rejected(self):
+        with pytest.raises(ParameterError, match="depth must be non-negative, got -1"):
+            build_moran(SubdivisionProfile(1, (1, 1)), -1)
+
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=10))
     @settings(max_examples=60)
     def test_level_counts_follow_heights(self, bits):
@@ -432,6 +436,14 @@ class TestEnumerateComponents:
         ds = build_moran(SubdivisionProfile(1, (1,)), 1)
         with pytest.raises(ParameterError):
             enumerate_components(ds, 2)
+
+    def test_negative_resolution_rejected(self):
+        ds = build_moran(SubdivisionProfile(1, (1,)), 1)
+        asm = build_assembly(make_phi(1, F(1, 2), F(1, 4)), k_max=4, depth=8)
+        for obj in (ds, asm):
+            with pytest.raises(ParameterError,
+                               match="resolution must be non-negative, got -1"):
+                enumerate_components(obj, -1)
 
     def test_rejects_explicit_trees(self):
         with pytest.raises(ParameterError):

@@ -23,7 +23,6 @@ from branchdim.spectra import (
     min_family,
     spectrum_from_breakpoints,
     spectrum_from_text,
-    spectrum_to_csv,
     spectrum_to_text,
 )
 
@@ -541,11 +540,3 @@ class TestSerialization:
                     "family=q alpha=1 a1=1/2 a2=2/3 kappa=1/4\n"):
             with pytest.raises(FormatError):
                 spectrum_from_text(bad)
-
-    def test_csv_shape_and_endpoints(self):
-        phi = make_phi(1, F(1, 2), F(1, 4))
-        lines = spectrum_to_csv(phi, 8).strip().splitlines()
-        assert lines[0] == "theta,value"
-        assert len(lines) == 10
-        assert lines[1] == "0,1"
-        assert lines[-1] == "1,0"
