@@ -36,7 +36,6 @@ from .branch import (
     check_branch,
     lambda_limit,
     lift,
-    max_lipschitz_minorant,
     regularize,
 )
 from .sets import (

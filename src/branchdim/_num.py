@@ -3,8 +3,9 @@
 Exact rational conversion and deterministic formatting, plus the one
 implementation of each algorithm the layers share: piecewise-linear
 interpolation (``interpolate``), piece slopes (``slopes``), the maximal
-non-decreasing Lipschitz minorant of a sequence (``lipschitz_minorant``)
-and the merge of sorted integer ranges (``merge_ranges``).
+non-decreasing Lipschitz minorant of a sequence (``lipschitz_minorant``),
+the merge of sorted integer ranges (``merge_ranges``) and the integer
+numerator of a rational over a common denominator (``scaled``).
 
 The toolkit does its curve arithmetic (breakpoints, piecewise-linear
 evaluation) in :class:`fractions.Fraction` so that equality tests and
@@ -79,6 +80,11 @@ def lipschitz_minorant(values, step) -> list:
     for k in range(len(out) - 2, -1, -1):
         out[k] = min(out[k], out[k + 1])
     return out
+
+
+def scaled(x, den: int) -> int:
+    """``x * den`` as an int, for a rational ``x`` whose denominator divides ``den``."""
+    return x.numerator * (den // x.denominator)
 
 
 def merge_ranges(ranges) -> list[tuple[int, int]]:

@@ -7,21 +7,19 @@ superadditive under splitting the scale range at any intermediate ``w``,
 and are alpha-Lipschitz in ``u``.  This module provides the evaluable
 variants used by the rest of the toolkit:
 
-* ``lift``                -- ``f(u, v) = u * phi(v / u)`` from a spectrum,
-* ``StripEnvelopeBranch`` -- the envelope built from a one-variable profile
-  ``g`` and a base height ``z``,
-* ``InfBranch``           -- pointwise minima of families,
-* ``GridBranch``          -- explicit integer-grid samples, handy for
+* ``lift``              -- ``f(u, v) = u * phi(v / u)`` from a spectrum,
+* ``RegularizedBranch`` -- the output of ``regularize``, the minimum over
+  base heights of differences of integer Lipschitz minorants,
+* ``GridBranch``        -- explicit integer-grid samples, handy for
   perturbation experiments,
 
-plus the operations on them: the maximal increasing Lipschitz minorant,
-Lipschitz regularization, the normalized scale limit and property checks.
+plus the operations on them: Lipschitz regularization, the normalized
+scale limit and property checks.
 
 Values are exact Fractions, so tolerance-zero property checks are
-meaningful.  The output of ``regularize`` answers integer points from a
-table built once from its minorants, and the triple scan behind
-``regularize`` and ``check_branch`` compares integers over a common
-denominator.
+meaningful.  The triple scan behind ``regularize`` and ``check_branch``
+compares integers over a common denominator, and ``regularize`` keeps its
+minorants as those integers.
 """
 
 from __future__ import annotations
@@ -31,21 +29,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, ParameterError
-from ._num import Rational, as_fraction, interpolate, lipschitz_minorant, slopes
+from ._num import Rational, as_fraction, interpolate, lipschitz_minorant, scaled, slopes
 from .spectra import Spectrum, _chain_holds
 
 __all__ = [
     "BranchFn",
     "LiftBranch",
-    "StripEnvelopeBranch",
-    "InfBranch",
+    "RegularizedBranch",
     "GridBranch",
     "LipschitzProfile",
     "EtaBound",
     "BranchReport",
     "PreconditionReport",
     "lift",
-    "max_lipschitz_minorant",
     "regularize",
     "lambda_limit",
     "check_branch",
@@ -184,60 +180,37 @@ class LiftBranch(BranchFn):
         return uu * self.spec.eval_exact(vv / uu)
 
 
-class StripEnvelopeBranch(BranchFn):
-    """Envelope ``g(u) - g(v)`` above the base height, steep slope below.
+class RegularizedBranch(BranchFn):
+    """The output of ``regularize``: differences of integer minorants.
 
-    For ``v >= z`` the value is ``g(u) - g(v)``; for ``v < z`` it is
-    ``alpha * (u - v)``.  With ``g`` increasing, alpha-Lipschitz and zero
-    up to ``z`` this lies in the certified class.
+    ``minorants[z][k]`` is ``den * m_z(z + k)`` for the minorant ``m_z`` of
+    the slice at base height z, on the integers z..int(u_max).  The value
+    at (u, v) is the minimum of ``m_z(u) - m_z(v)`` over the integers
+    z <= v, with each ``m_z`` interpolated between its integer knots and
+    clamped past the last one.  Integer points read a table of that
+    minimum built once here; every other point interpolates.
     """
 
-    def __init__(self, profile: LipschitzProfile, z: Rational, alpha: Rational,
-                 u_max: Rational):
-        super().__init__(u_max, certified=True)
-        self.profile = profile
-        self.z = as_fraction(z)
-        self.alpha = as_fraction(alpha)
+    def __init__(self, u_max: Rational, precondition: "PreconditionReport",
+                 minorants: list[list[int]], den: int):
+        super().__init__(u_max, precondition.passed)
+        self.precondition = precondition
+        self.minorants = minorants
+        self.den = den
+        self._values = [[Fraction(min(m[u - z] - m[v - z]
+                                      for z, m in enumerate(minorants[:v + 1])), den)
+                         for v in range(u + 1)] for u in range(len(minorants))]
 
     def value(self, u: Rational, v: Rational) -> Fraction:
-        uu, vv = self._domain(u, v)
-        if vv >= self.z:
-            return self.profile.at(uu) - self.profile.at(vv)
-        return self.alpha * (uu - vv)
-
-
-class InfBranch(BranchFn):
-    """Pointwise minimum of a finite family of branch functions.
-
-    ``_table`` is supplied by ``regularize`` only: ``_table[u][v]`` is the
-    minimum over the members at the integer point (u, v), for every
-    0 <= v <= u <= u_max.  ``value`` reads it for ``int`` arguments inside
-    the domain; every other argument evaluates the members.
-    """
-
-    def __init__(self, members, precondition: "PreconditionReport | None" = None,
-                 _table: list[list[Fraction]] | None = None):
-        members = tuple(members)
-        if not members:
-            raise ParameterError("InfBranch needs a non-empty family")
-        u_max = members[0].u_max
-        if any(m.u_max != u_max for m in members):
-            raise ParameterError("InfBranch members must share u_max")
-        certified = all(m.certified for m in members)
-        if precondition is not None and not precondition.passed:
-            certified = False
-        super().__init__(u_max, certified)
-        self.members = members
-        self.precondition = precondition
-        self._table = _table
-
-    def value(self, u: Rational, v: Rational):
-        table = self._table
-        if (table is not None and type(u) is int and type(v) is int
-                and 0 <= v <= u < len(table)):
+        table = self._values
+        if type(u) is int and type(v) is int and 0 <= v <= u < len(table):
             return table[u][v]
-        self._domain(u, v)
-        return min(m.value(u, v) for m in self.members)
+        uu, vv = self._domain(u, v)
+        diffs = []
+        for z, m in enumerate(self.minorants[:math.floor(vv) + 1]):
+            knots = range(z, z + len(m))
+            diffs.append(interpolate(knots, m, uu) - interpolate(knots, m, vv))
+        return Fraction(min(diffs), self.den)
 
 
 class GridBranch(BranchFn):
@@ -293,58 +266,35 @@ def lift(spec: Spectrum, u_max: Rational, cert_grid: int = 64) -> LiftBranch:
     return LiftBranch(spec, u_max, certified=_chain_holds(spec, cert_grid))
 
 
-def max_lipschitz_minorant(samples, alpha: Rational) -> LipschitzProfile:
-    """Largest non-decreasing alpha-Lipschitz function below the samples.
-
-    Samples must sit on a uniform knot grid with spacing ``delta``; the
-    values are ``lipschitz_minorant`` of the samples with step
-    ``alpha*delta``.
-    """
-    pts = [(as_fraction(u), as_fraction(x)) for u, x in samples]
-    if len(pts) < 1:
-        raise ParameterError("need at least one sample")
-    if any(u1 <= u0 for (u0, _), (u1, _) in zip(pts, pts[1:])):
-        raise ParameterError("sample knots must be strictly ascending")
-    if any(x < 0 for _, x in pts):
-        raise ParameterError("sample values must be non-negative")
-    a = as_fraction(alpha)
-    knots = [u for u, _ in pts]
-    delta = knots[1] - knots[0] if len(knots) > 1 else 0
-    if any(u1 - u0 != delta for u0, u1 in zip(knots[1:], knots[2:])):
-        raise ParameterError("sample knots must form a uniform grid")
-    out = lipschitz_minorant([x for _, x in pts], a * delta)
-    return LipschitzProfile(tuple(knots), tuple(out), a)
-
-
-def _scaled(xs, den: int) -> list[int]:
-    """The integers ``x * den`` for rationals whose denominators divide ``den``."""
-    return [x.numerator * (den // x.denominator) for x in xs]
-
-
-def _scan_triples(f: BranchFn, alpha: Fraction, eta_at=None):
+def _scan_triples(f: BranchFn, alpha: Rational, eta: EtaBound | None = None):
     """Sample ``f`` once on the integer grid v <= u and scan every triple.
 
-    Returns ``(rows, (worst_s, wit_s), (worst_l, wit_l))``: ``rows[u][v]``
-    is ``f(u, v)``; ``worst_s`` is the largest superadditivity margin
+    Returns ``(ints, L, step, (worst_s, wit_s), (worst_l, wit_l))``: ``L``
+    is the lcm of the denominators of every sample, of ``alpha`` and of
+    every ``eta(u)``, ``ints[u][v]`` is ``L * f(u, v)`` and ``step`` is
+    ``L * alpha``; ``worst_s`` is the largest superadditivity margin
     ``f(u,w) + f(w,v) - f(u,v)`` and ``worst_l`` the largest Lipschitz
     margin ``f(u,v) - f(w,v) - alpha*(u-w) - eta(u)`` over v <= w <= u,
     each with the first triple (u, w, v) in scan order that reaches it.
-    ``eta_at`` defaults to zero.
-
-    The scan runs on integers: with ``L`` the lcm of the denominators of
-    every sample, of ``alpha`` and of every ``eta(u)``, each margin times
-    ``L`` is an exact integer, so the comparisons and witnesses are those
-    of the Fraction margins.  ``rows`` and the worst margins are Fractions.
+    ``eta`` defaults to zero; a negative ``alpha``, then an ``eta``
+    failing its gate, raise ``ParameterError`` first.  The scan compares
+    the margins times ``L``, exact integers, so its comparisons and
+    witnesses are those of the Fraction margins, returned as Fractions.
     """
+    a = as_fraction(alpha)
+    if a < 0:
+        raise ParameterError("alpha must be non-negative")
+    if eta is not None:
+        eta.validate(f.u_max)
     top = int(f.u_max)
     rows = [[f.value(u, v) for v in range(u + 1)] for u in range(top + 1)]
-    etas = [0 if eta_at is None else eta_at(u) for u in range(top + 1)]
-    den = math.lcm(alpha.denominator, *(e.denominator for e in etas),
+    etas = [0 if eta is None else eta.at(u) for u in range(top + 1)]
+    den = math.lcm(a.denominator, *(e.denominator for e in etas),
                    *(x.denominator for row in rows for x in row))
-    ints = [_scaled(row, den) for row in rows]
-    step = alpha.numerator * (den // alpha.denominator)
+    ints = [[scaled(x, den) for x in row] for row in rows]
+    step = scaled(a, den)
     worst_s = worst_l = wit_s = wit_l = None
-    for u, (f_u, eta_u) in enumerate(zip(ints, _scaled(etas, den))):
+    for u, (f_u, eta_u) in enumerate(zip(ints, [scaled(e, den) for e in etas])):
         for w in range(u + 1):
             f_w, f_uw = ints[w], f_u[w]
             slack = step * (u - w) + eta_u
@@ -356,7 +306,7 @@ def _scan_triples(f: BranchFn, alpha: Fraction, eta_at=None):
                     worst_s, wit_s = m_s, (u, w, v)
                 if worst_l is None or m_l > worst_l:
                     worst_l, wit_l = m_l, (u, w, v)
-    return (rows, (Fraction(worst_s, den), wit_s),
+    return (ints, den, step, (Fraction(worst_s, den), wit_s),
             (Fraction(worst_l, den), wit_l))
 
 
@@ -372,18 +322,19 @@ class PreconditionReport:
     lipschitz_witness: tuple[int, int, int] | None
 
 
-def regularize(f: BranchFn, alpha: Rational, eta: EtaBound) -> InfBranch:
+def regularize(f: BranchFn, alpha: Rational, eta: EtaBound) -> RegularizedBranch:
     """Replace ``f`` by a certified branch function within ``eta`` below it.
 
-    For every integer base height ``z`` the one-variable slice
-    ``u -> f(u, z)``, sampled at the integers z..u_max, is replaced by its
-    maximal increasing alpha-Lipschitz minorant and wrapped into a strip
-    envelope; the output is the pointwise infimum of those envelopes.  It
-    answers integer points from a table of that infimum built here: at
-    (u, v) the minimum of ``m_z(u) - m_z(v)`` over the minorants ``m_z``
-    with z <= v.  The envelopes with z > v add ``alpha * (u - v)``, which
-    never lowers the minimum: ``m_v`` is alpha-Lipschitz, so
-    ``m_v(u) - m_v(v) <= alpha * (u - v)``.
+    For every integer base height z the slice ``u -> f(u, z)`` on the
+    integers z..u_max is replaced by its maximal non-decreasing
+    alpha-Lipschitz minorant ``m_z``, one ``lipschitz_minorant`` pass over
+    the scan's integer samples with step ``alpha * L``.  The output is the
+    infimum over z of the strip envelopes, ``m_z(u) - m_z(v)`` for z <= v
+    and ``alpha * (u - v)`` for z > v, evaluated as the minimum over the
+    z <= v alone.  That drops nothing: z = 0 is always there, and ``m_0``,
+    rising by at most ``alpha`` per unit step between its integer knots and
+    constant past the last, is alpha-Lipschitz, so
+    ``m_0(u) - m_0(v) <= alpha * (u - v)``.
 
     On the integer grid the output ``g`` satisfies ``f - eta <= g <= f``
     and the certified-class properties exactly, provided ``f`` satisfies
@@ -392,13 +343,11 @@ def regularize(f: BranchFn, alpha: Rational, eta: EtaBound) -> InfBranch:
     abort the construction: they are reported on the returned object's
     ``precondition`` attribute and clear its ``certified`` flag, so
     deliberately broken inputs can still be regularized and inspected.
+    A negative sample, or an ``m_0`` that does not vanish at 0, raises
+    ``ParameterError``; the slices are checked in order of z.
     """
-    a = as_fraction(alpha)
-    if a < 0:
-        raise ParameterError("alpha must be non-negative")
-    eta.validate(f.u_max)
-    rows, (worst_s, wit_s), (worst_l, wit_l) = _scan_triples(f, a, eta.at)
-    diag = next(((u,) for u, f_u in enumerate(rows) if f_u[u] != 0), None)
+    ints, den, step, (worst_s, wit_s), (worst_l, wit_l) = _scan_triples(f, alpha, eta)
+    diag = next(((u,) for u, f_u in enumerate(ints) if f_u[u] != 0), None)
     report = PreconditionReport(
         passed=diag is None and worst_s <= 0 and worst_l <= 0,
         diagonal_witness=diag,
@@ -407,21 +356,16 @@ def regularize(f: BranchFn, alpha: Rational, eta: EtaBound) -> InfBranch:
         lipschitz_violation=max(0.0, float(worst_l)),
         lipschitz_witness=wit_l if worst_l > 0 else None,
     )
-    top = len(rows) - 1
-    minorants = [
-        max_lipschitz_minorant([(u, rows[u][z]) for u in range(z, top + 1)], a)
-        for z in range(top + 1)
-    ]
-    den = math.lcm(*(x.denominator for m in minorants for x in m.values))
-    ms = [_scaled(m.values, den) for m in minorants]
-    table = [
-        [Fraction(min(m[u - z] - m[v - z] for z, m in enumerate(ms[:v + 1])), den)
-         for v in range(u + 1)]
-        for u in range(top + 1)
-    ]
-    envelopes = [StripEnvelopeBranch(m, z, a, f.u_max)
-                 for z, m in enumerate(minorants)]
-    return InfBranch(envelopes, precondition=report, _table=table)
+    minorants = []
+    for z in range(len(ints)):
+        column = [f_u[z] for f_u in ints[z:]]
+        if min(column) < 0:
+            raise ParameterError("sample values must be non-negative")
+        m = lipschitz_minorant(column, step)
+        if z == 0 and m[0] != 0:
+            raise ParameterError("profile must vanish at 0")
+        minorants.append(m)
+    return RegularizedBranch(f.u_max, report, minorants, den)
 
 
 def lambda_limit(f: BranchFn, theta: Rational, u_min: Rational,
@@ -464,9 +408,9 @@ def check_branch(f: BranchFn, alpha: Rational,
     Margins are compared exactly, as integers over a common denominator,
     so a tolerance of zero is a meaningful request.  The witnesses are the
     first triples (u, w, v) reaching the largest margins, whether or not
-    those are violations.
+    those are violations.  A negative ``alpha`` raises ``ParameterError``.
     """
-    _, (worst_s, wit_s), (worst_l, wit_l) = _scan_triples(f, as_fraction(alpha))
+    *_, (worst_s, wit_s), (worst_l, wit_l) = _scan_triples(f, alpha)
     v_s = max(0.0, float(worst_s))
     v_l = max(0.0, float(worst_l))
     return BranchReport(

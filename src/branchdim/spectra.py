@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, FormatError, ParameterError
-from ._num import Rational, as_fraction, fmt_number, interpolate, slopes
+from ._num import Rational, as_fraction, fmt_number, interpolate, scaled, slopes
 
 __all__ = [
     "Spectrum",
@@ -368,7 +368,7 @@ def _integer_form(specs, points: list[Fraction]):
     ``values[j] = L*D*phi(nums[j]/D)``.
     """
     den = math.lcm(*(x.denominator for x in points))
-    nums = [x.numerator * (den // x.denominator) for x in points]
+    nums = [scaled(x, den) for x in points]
     pieces = [_pieces(spec) for spec in specs]
     lcm = math.lcm(
         specs[0].alpha.denominator,
@@ -378,8 +378,8 @@ def _integer_form(specs, points: list[Fraction]):
     tables = []
     for ps in pieces:
         starts = [-(-x0.numerator * den2 // x0.denominator) for x0, _, _ in ps]
-        icpt = [(a * lcm).numerator * den2 for _, a, _ in ps]
-        slope = [(s * lcm).numerator for _, _, s in ps]
+        icpt = [scaled(a, lcm) * den2 for _, a, _ in ps]
+        slope = [scaled(s, lcm) for _, _, s in ps]
         vals = []
         for n in nums:
             i = bisect_right(starts, n * den) - 1
@@ -415,7 +415,7 @@ def _scan(specs, grid_resolution: int, clauses):
     points = samples[0] if len(samples) == 1 else sorted(set().union(*samples))
     nums, den, lcm, tables = _integer_form(specs, points)
     a_terms = {i: [den * v for v in t[3]] for i, t in enumerate(tables)}
-    a_terms["cap"] = [(specs[0].alpha * lcm).numerator * den * (den - t) for t in nums]
+    a_terms["cap"] = [scaled(specs[0].alpha, lcm) * den * (den - t) for t in nums]
     b_terms = {i: t[3] for i, t in enumerate(tables)} | {None: [0] * len(nums)}
     work = [(s, sign, [(sign * x, t) for x, t in zip(a_terms[a], nums)], b_terms[b])
             for s, sign, a, b in clauses]

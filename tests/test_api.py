@@ -51,6 +51,8 @@ def test_package_exports_only_layer_names_errors_and_submodules():
     ("branch", "equiv_compare"), ("branch", "EquivReport"),
     ("branch", "branch_to_csv"), ("branch", "profile_to_csv"),
     ("branch", "strip_envelope"), ("branch", "inf_branch"),
+    ("branch", "StripEnvelopeBranch"), ("branch", "InfBranch"),
+    ("branch", "max_lipschitz_minorant"),
     ("spectra", "spectrum_to_csv"),
 ])
 def test_removed_names_are_gone(layer, name):

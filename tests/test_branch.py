@@ -7,17 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from branchdim._num import lipschitz_minorant
 from branchdim.branch import (
+    BranchFn,
     BranchReport,
     EtaBound,
     GridBranch,
-    InfBranch,
     LipschitzProfile,
-    StripEnvelopeBranch,
     check_branch,
     lambda_limit,
     lift,
-    max_lipschitz_minorant,
     PreconditionReport,
     regularize,
 )
@@ -94,70 +93,50 @@ class TestLift:
             L.value(9, 0)
 
 
+RAMP = LipschitzProfile((F(0), F(3), F(13)), (F(0), F(0), F(10)), F(1))
+
+
 class TestStripEnvelope:
+    """The strip envelopes of the oracle below, at frozen values."""
+
     def test_zero_profile_gives_two_branch_formula(self):
         g = LipschitzProfile((F(0), F(10)), (F(0), F(0)), F(1))
-        h = StripEnvelopeBranch(g, 4, 1, 10)
-        assert h.value(9, 2) == 7  # alpha * (u - v) below the base height
-        assert h.value(9, 5) == 0
+        assert oracle_strip(g, 4, 1, 9, 2) == 7  # alpha * (u - v) below z
+        assert oracle_strip(g, 4, 1, 9, 5) == 0
 
     def test_ramp_profile_frozen_values(self):
-        g = LipschitzProfile((F(0), F(3), F(13)), (F(0), F(0), F(10)), F(1))
-        h = StripEnvelopeBranch(g, 3, 1, 13)
-        assert h.value(10, 5) == 5
-        assert h.value(10, 2) == 8
+        assert oracle_strip(RAMP, 3, 1, 10, 5) == 5
+        assert oracle_strip(RAMP, 3, 1, 10, 2) == 8
 
     def test_certified_and_passes_checks(self):
-        g = LipschitzProfile((F(0), F(3), F(13)), (F(0), F(0), F(10)), F(1))
-        h = StripEnvelopeBranch(g, 3, 1, 13)
-        assert h.certified
+        # an envelope lies in the certified class, so regularize keeps it
+        h = GridBranch.from_function(lambda u, v: oracle_strip(RAMP, 3, 1, u, v), 13)
         assert check_branch(h, 1).passed
-
-
-class TestInfBranch:
-    def test_single_member_same_values(self):
-        L = lift(make_phi(1, F(1, 2), F(1, 4)), 10)
-        one = InfBranch([L])
-        assert all(
-            one.value(u, v) == L.value(u, v)
-            for u in range(11)
-            for v in range(u + 1)
-        )
-
-    def test_componentwise_minimum(self):
-        L = lift(make_phi(1, F(1, 2), F(1, 4)), 16)
-        S = lift(make_phi(1, 1, 0), 16)
-        m = InfBranch([L, S])
-        assert m.value(8, 4) == 2
-        assert m.certified
-        assert check_branch(m, 1).passed
-
-    def test_mismatched_u_max_rejected(self):
-        with pytest.raises(ParameterError, match="InfBranch members must share u_max"):
-            InfBranch([lift(make_phi(1, 1, 0), 8), lift(make_phi(1, 1, 0), 9)])
-        with pytest.raises(ParameterError, match="InfBranch needs a non-empty family"):
-            InfBranch([])
+        reg = regularize(h, 1, EtaBound.const(0))
+        assert reg.certified
+        assert all(reg.value(u, v) == h.value(u, v)
+                   for u in range(14) for v in range(u + 1))
 
 
 class TestMaxLipschitzMinorant:
     def test_frozen_small_cases(self):
-        m = max_lipschitz_minorant([(0, 0), (1, 2), (2, 2), (3, 4)], 1)
-        assert m.values == (F(0), F(1), F(2), F(3))
-        m2 = max_lipschitz_minorant([(0, 0), (1, 0), (2, 5), (3, 0), (4, 5)], 1)
-        assert m2.values == (F(0), F(0), F(0), F(0), F(1))
+        assert lipschitz_minorant([0, 2, 2, 4], 1) == [0, 1, 2, 3]
+        assert lipschitz_minorant([0, 0, 5, 0, 5], 1) == [0, 0, 0, 0, 1]
 
     def test_fixed_point_on_feasible_input(self):
-        samples = [(0, F(0)), (1, F(1, 2)), (2, F(1)), (3, F(1))]
-        m = max_lipschitz_minorant(samples, 1)
-        assert m.values == (F(0), F(1, 2), F(1), F(1))
-
-    def test_non_uniform_grid_rejected(self):
-        with pytest.raises(ParameterError):
-            max_lipschitz_minorant([(0, 0), (1, 1), (3, 2)], 1)
+        values = [F(0), F(1, 2), F(1), F(1)]
+        assert lipschitz_minorant(values, 1) == values
 
     def test_negative_values_rejected(self):
-        with pytest.raises(ParameterError):
-            max_lipschitz_minorant([(0, 0), (1, -1)], 1)
+        f = GridBranch({(0, 0): 0, (1, 0): -1, (1, 1): 0}, 1)
+        with pytest.raises(ParameterError, match="sample values must be non-negative"):
+            regularize(f, 1, EtaBound.const(0))
+        # the slice at z = 0 is checked whole before the one at z = 1
+        f = GridBranch({(0, 0): 1, (1, 0): 1, (1, 1): -1}, 1)
+        with pytest.raises(ParameterError, match="profile must vanish at 0"):
+            regularize(f, 1, EtaBound.const(1))
+        assert (regularize_outcome(f, 1, EtaBound.const(1))
+                == oracle_regularize_outcome(f, 1, EtaBound.const(1)))
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -167,9 +146,7 @@ class TestMaxLipschitzMinorant:
     def test_matches_brute_force_on_lattice(self, raw, alpha):
         values = [F(x, 4) for x in raw]
         values[0] = F(0)
-        m = max_lipschitz_minorant(list(enumerate(values)), alpha)
-        oracle = brute_force_minorant(values, alpha)
-        assert list(m.values) == oracle
+        assert lipschitz_minorant(values, alpha) == brute_force_minorant(values, alpha)
 
 
 class TestRegularize:
@@ -230,20 +207,24 @@ class TestRegularize:
             regularize(L, 1, EtaBound.const(100, threshold=1))
 
     def test_inf_of_strips_matches_regularize_output(self):
-        # building the strips by hand and taking their InfBranch reproduces
-        # regularize's value on the sample grid
+        # the infimum of the strips built by hand reproduces regularize's
+        # value on the sample grid
         L = lift(make_phi(1, F(1, 2), F(1, 4)), 10)
         reg = regularize(L, 1, EtaBound.const(0))
-        strips = []
-        for z in range(11):
-            samples = [(u, L.value(u, z)) for u in range(z, 11)]
-            strips.append(StripEnvelopeBranch(max_lipschitz_minorant(samples, 1), z, 1, 10))
-        manual = InfBranch(strips)
+        manual = EnvelopeOracle(L, 1)
         assert all(
             manual.value(u, v) == reg.value(u, v)
             for u in range(11)
             for v in range(u + 1)
         )
+
+    def test_builds_no_profile(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("regularize built a LipschitzProfile")
+
+        monkeypatch.setattr(LipschitzProfile, "__post_init__", refuse)
+        reg = regularize(_perturbed_lift(), 1, EtaBound.const(2))
+        assert reg.certified
 
 
 class TestLambdaLimit:
@@ -313,6 +294,11 @@ class TestCheckBranch:
         # worst margin f(u,v) - f(w,v) - (u-w) = u - w peaks at the full span
         assert rep.lipschitz_violation == pytest.approx(6.0)
         assert check_branch(steep, 2).passed
+
+    def test_negative_alpha_rejected(self):
+        f = lift(make_phi(1, F(1, 2), F(1, 4)), 8)
+        with pytest.raises(ParameterError, match="alpha must be non-negative"):
+            check_branch(f, -1)
 
 
 class TestGridBranch:
@@ -402,29 +388,76 @@ def oracle_preconditions(f, alpha, eta):
 
 
 def oracle_minorants(f, alpha):
-    """The per-height minorants regularize builds, each slice sampled anew."""
+    """The per-height minorants of the envelopes, each slice sampled anew.
+
+    Each is validated as a ``LipschitzProfile`` over its knots z..u_max,
+    so a slice with a negative sample, or a first minorant not vanishing
+    at 0, raises the errors regularize raises.
+    """
+    a = F(alpha)
     top = int(f.u_max)
-    return [
-        max_lipschitz_minorant([(u, f.value(u, z)) for u in range(z, top + 1)],
-                               alpha)
-        for z in range(top + 1)
-    ]
+    out = []
+    for z in range(top + 1):
+        samples = [f.value(u, z) for u in range(z, top + 1)]
+        if any(x < 0 for x in samples):
+            raise ParameterError("sample values must be non-negative")
+        out.append(LipschitzProfile(tuple(F(u) for u in range(z, top + 1)),
+                                    tuple(lipschitz_minorant(samples, a)), a))
+    return out
+
+
+def oracle_strip(profile, z, alpha, u, v):
+    """The strip envelope: g(u) - g(v) from the base height z up, else alpha*(u - v)."""
+    u, v = F(u), F(v)
+    if v >= z:
+        return profile.at(u) - profile.at(v)
+    return F(alpha) * (u - v)
+
+
+class EnvelopeOracle(BranchFn):
+    """The infimum over base heights z of the strip envelopes of the minorants."""
+
+    def __init__(self, f, alpha):
+        super().__init__(f.u_max, True)
+        self.alpha = F(alpha)
+        self.minorants = oracle_minorants(f, alpha)
+
+    def value(self, u, v):
+        self._domain(u, v)
+        return min(oracle_strip(m, z, self.alpha, u, v)
+                   for z, m in enumerate(self.minorants))
+
+
+def sample_points(u_max):
+    """Every point with u and v on the half-integers, and u = u_max.
+
+    Integer coordinates are ints, so a regularized output reads its table
+    there; the others are Fractions.
+    """
+    top = F(u_max)
+    xs = [F(k, 2) for k in range(int(2 * top) + 1)]
+    if xs[-1] != top:
+        xs.append(top)
+    xs = [int(x) if x.denominator == 1 else x for x in xs]
+    return [(u, v) for u in xs for v in xs if v <= u]
 
 
 def regularize_outcome(f, alpha, eta):
-    """The precondition report and minorants, or the error raised."""
+    """The precondition report and every sampled value, or the error raised."""
     try:
         reg = regularize(f, alpha, eta)
     except ParameterError as exc:
         return str(exc)
-    return reg.precondition, [m.profile for m in reg.members]
+    return reg.precondition, [reg.value(u, v) for u, v in sample_points(f.u_max)]
 
 
 def oracle_regularize_outcome(f, alpha, eta):
     try:
-        return oracle_preconditions(f, alpha, eta), oracle_minorants(f, alpha)
+        report = oracle_preconditions(f, alpha, eta)
+        oracle = EnvelopeOracle(f, alpha)
     except ParameterError as exc:
         return str(exc)
+    return report, [oracle.value(u, v) for u, v in sample_points(f.u_max)]
 
 
 def oracle_check_branch(f, alpha, tolerance=0.0):
@@ -590,46 +623,47 @@ class TestTripleScanMatchesOracle:
 
 
 # ---------------------------------------------------------------------------
-# regularize's table against the members' minimum it replaces, and the
+# regularize's output against the envelope infimum it evaluates, and the
 # integer triple scan against the Fraction loops above.
 
-def members_min(reg, u, v):
-    """InfBranch.value before the table: the minimum over the members."""
-    return min(m.value(u, v) for m in reg.members)
-
-
-def assert_table_matches_members(reg):
-    """Integer points read the table; every other input behaves as before.
-
-    Non-integer and Fraction-typed points take the members path, so they
-    are sampled sparsely to keep the test quick.
+def assert_matches_envelopes(reg, f, alpha):
+    """Every point equals the envelope oracle, as a Fraction; integer
+    points given as Fractions equal the table; domain errors, limits and
+    checks behave as on the oracle.
     """
-    old = InfBranch(reg.members)  # no table: every point evaluates the members
+    oracle = EnvelopeOracle(f, alpha)
     top = int(reg.u_max)
     samples = {}
-    for u in range(top + 1):
-        for v in range(u + 1):
-            got = reg.value(u, v)
-            samples[(u, v)] = members_min(reg, u, v)
-            assert type(got) is F and got == samples[(u, v)]
-        assert reg.value(F(u), F(u // 2)) == reg.value(u, u // 2)
-        if u < top:
-            half = u + F(1, 2)
-            assert reg.value(half, u // 3) == old.value(half, u // 3)
-            assert reg.value(half, half) == old.value(half, half)
+    for u, v in sample_points(reg.u_max):
+        got = reg.value(u, v)
+        assert type(got) is F and got == oracle.value(u, v)
+        if type(u) is int and type(v) is int:
+            samples[(u, v)] = got
+            assert reg.value(F(u), F(v)) == got
     for bad in ((top + 1, 0), (0, 1), (-1, -1)):
         with pytest.raises(DomainError):
             reg.value(*bad)
     with pytest.raises(TypeError):
         reg.value(True, False)
     for theta in (F(1, 4), F(1, 2), F(2, 3), F(1)):
-        assert lambda_limit(reg, theta, 1) == lambda_limit(old, theta, 1)
+        assert lambda_limit(reg, theta, 1) == lambda_limit(oracle, theta, 1)
     assert check_branch(reg, 1) == oracle_check_branch(GridBranch(samples, top), 1)
 
 
 # constant_one has a nonzero origin, which regularize rejects
 # (test_nonzero_origin_still_raises).
 TABLE_CASES = sorted(set(SCAN_CASES) - {"constant_one"})
+
+
+class PastLastInteger(BranchFn):
+    """Grid samples on a domain reaching half a step past the last integer."""
+
+    def __init__(self, grid):
+        super().__init__(grid.u_max + F(1, 2), False)
+        self.grid = grid
+
+    def value(self, u, v):
+        return self.grid.value(u, v)
 
 
 class TestRegularizeTable:
@@ -642,7 +676,7 @@ class TestRegularizeTable:
         f = SCAN_CASES[name]()
         assert (regularize_outcome(f, alpha, eta)
                 == oracle_regularize_outcome(f, alpha, eta))
-        assert_table_matches_members(regularize(f, alpha, eta))
+        assert_matches_envelopes(regularize(f, alpha, eta), f, alpha)
 
     @settings(max_examples=40, deadline=None)
     @given(grid_branches(), st.sampled_from([F(1, 2), 1, 2]),
@@ -652,14 +686,27 @@ class TestRegularizeTable:
             reg = regularize(f, alpha, EtaBound.const(c, threshold=3))
         except ParameterError:
             return  # a nonzero origin; the scan tests cover the error
-        assert_table_matches_members(reg)
+        assert_matches_envelopes(reg, f, alpha)
+
+    @settings(max_examples=40, deadline=None)
+    @given(grid_branches(), st.sampled_from([F(1, 2), 1, 2]),
+           st.sampled_from([EtaBound.const(0, threshold=3),
+                            EtaBound.const(1, threshold=3),
+                            EtaBound.const(2, threshold=3), PROFILE_ETA]),
+           st.booleans())
+    def test_values_are_envelope_fractions(self, grid, alpha, eta, past_top):
+        f = PastLastInteger(grid) if past_top else grid
+        outcome = regularize_outcome(f, alpha, eta)
+        assert outcome == oracle_regularize_outcome(f, alpha, eta)
+        if not isinstance(outcome, str):
+            assert all(type(x) is F for x in outcome[1])
 
     def test_fractional_u_max(self):
         f = lift(make_phi(1, F(1, 2), F(1, 4)), F(21, 2))
         reg = regularize(f, 1, EtaBound.const(0))
-        assert len(reg._table) == 11
-        assert_table_matches_members(reg)
-        assert reg.value(F(21, 2), 10) == members_min(reg, F(21, 2), 10)
+        assert len(reg.minorants) == 11
+        assert_matches_envelopes(reg, f, 1)
+        assert reg.value(F(21, 2), 10) == EnvelopeOracle(f, 1).value(F(21, 2), 10)
 
 
 class TestIntegerScanDenominator:

@@ -1,8 +1,9 @@
 """Differential tests for the shared numeric helpers in ``_num``.
 
 Each algorithm the layers share (piecewise-linear evaluation, piece
-slopes and lookup, the Lipschitz minorant, the range merge, the flatten
-of a construction and the windowed estimator) has one implementation.
+slopes and lookup, the Lipschitz minorant, the range merge, the
+common-denominator scaling, the flatten of a construction and the
+windowed estimator) has one implementation.
 The per-layer loops they replaced stay here as oracles, and every case
 asserts ``==`` against them.
 """
@@ -15,8 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from branchdim._num import interpolate, lipschitz_minorant, merge_ranges, slopes
-from branchdim.branch import LipschitzProfile, max_lipschitz_minorant
+from branchdim._num import interpolate, lipschitz_minorant, merge_ranges, scaled, slopes
+from branchdim.branch import LipschitzProfile
 from branchdim.counting import (
     IntervalSet,
     estimate_assouad_spectrum,
@@ -161,24 +162,6 @@ def oracle_forward_suffix(values, step):
     for k in range(len(out) - 2, -1, -1):
         out[k] = min(out[k], out[k + 1])
     return out
-
-
-def oracle_max_lipschitz_minorant(samples, alpha):
-    """branch.max_lipschitz_minorant's old body after validation."""
-    pts = [(F(u), F(x)) for u, x in samples]
-    a = F(alpha)
-    if len(pts) > 1:
-        delta = pts[1][0] - pts[0][0]
-        step = a * delta
-        forward = [pts[0][1]]
-        for _, x in pts[1:]:
-            forward.append(min(x, forward[-1] + step))
-        out = list(forward)
-        for k in range(len(out) - 2, -1, -1):
-            out[k] = min(out[k], out[k + 1])
-    else:
-        out = [pts[0][1]]
-    return tuple(u for u, _ in pts), tuple(out)
 
 
 def oracle_profile_from_lipschitz(f, d, depth):
@@ -392,6 +375,23 @@ class TestSlopes:
 
 
 # ---------------------------------------------------------------------------
+# integers over a common denominator
+
+class TestScaled:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.fractions(max_denominator=40), min_size=1, max_size=6),
+           st.integers(1, 5))
+    def test_matches_multiplication(self, xs, extra):
+        den = math.lcm(*(x.denominator for x in xs)) * extra
+        got = [scaled(x, den) for x in xs]
+        assert got == [(x * den).numerator for x in xs]
+        assert all(type(n) is int for n in got)
+
+    def test_ints(self):
+        assert scaled(0, 6) == 0 and scaled(-3, 4) == -12
+
+
+# ---------------------------------------------------------------------------
 # maximal non-decreasing Lipschitz minorant
 
 class TestMinorant:
@@ -408,26 +408,6 @@ class TestMinorant:
 
     def test_empty(self):
         assert lipschitz_minorant([], 1) == []
-
-    @pytest.mark.parametrize("samples,alpha", [
-        ([(0, 0)], 1), ([(5, F(7, 2))], F(1, 3)),  # one sample
-        ([(0, 0), (1, 3), (2, 1), (3, 5)], 1),
-        ([(2, 1), (F(5, 2), 4), (3, 2), (F(7, 2), 2)], 2),
-        ([(1, F(1, 3)), (4, F(1, 7)), (7, 5)], F(1, 2)),
-    ])
-    def test_fractions(self, samples, alpha):
-        prof = max_lipschitz_minorant(samples, alpha)
-        assert (prof.knots, prof.values) == \
-            oracle_max_lipschitz_minorant(samples, alpha)
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.integers(0, 40), min_size=1, max_size=12),
-           st.integers(0, 3), st.integers(1, 4), st.sampled_from([-3, -1, 1, 2]))
-    def test_random_fractions(self, heights, alpha, spacing, start):
-        samples = [(start + k * F(spacing, 2), F(h, 3)) for k, h in enumerate(heights)]
-        prof = max_lipschitz_minorant(samples, alpha)
-        assert (prof.knots, prof.values) == \
-            oracle_max_lipschitz_minorant(samples, alpha)
 
     @pytest.mark.parametrize("profile,depth", [
         (LipschitzProfile((F(0),), (F(0),), F(1)), 0),
