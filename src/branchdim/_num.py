@@ -1,15 +1,15 @@
 """Small numeric helpers shared by every layer.
 
 Exact rational conversion and deterministic formatting, plus the one
-implementation of each algorithm the layers share: piecewise-linear
-interpolation (``interpolate``), piece slopes (``slopes``), the maximal
-non-decreasing Lipschitz minorant of a sequence (``lipschitz_minorant``),
-the merge of sorted integer ranges (``merge_ranges``) and the integer
-numerator of a rational over a common denominator (``scaled``).
+implementation of each algorithm the layers share: interpolation of the
+piecewise-linear profiles and minorants (``interpolate``), piece slopes
+(``slopes``), the maximal non-decreasing Lipschitz minorant of a sequence
+(``lipschitz_minorant``), the merge of sorted integer ranges (``merge_ranges``)
+and the integer numerator of a rational over a common denominator (``scaled``).
 
-The toolkit does its curve arithmetic (breakpoints, piecewise-linear
-evaluation) in :class:`fractions.Fraction` so that equality tests and
-tolerance-zero checks are meaningful.  Interval geometry stays as integer
+The toolkit keeps its curve values (breakpoints, piecewise-linear
+evaluation) exact, as :class:`fractions.Fraction`, so that equality tests
+and tolerance-zero checks are meaningful.  Interval geometry stays as integer
 numerators over ``2^scale`` from construction to count.  Floats are
 accepted at the API boundary and converted exactly; they re-enter only in
 reports and CSV output.

@@ -174,10 +174,7 @@ class LiftBranch(BranchFn):
         self.spec = spec
 
     def value(self, u: Rational, v: Rational) -> Fraction:
-        uu, vv = self._domain(u, v)
-        if uu == 0:
-            return Fraction(0)
-        return uu * self.spec.eval_exact(vv / uu)
+        return self.spec.lifted(*self._domain(u, v))
 
 
 class RegularizedBranch(BranchFn):

@@ -376,6 +376,8 @@ def _candidates_per_level(ws: _Workspace, rule: str):
 
 def _table(iset: IntervalSet, u_max: int, candidate_rule: str, kind: str,
            cells) -> CountTable:
+    if type(u_max) is not int:
+        raise ParameterError(f"u_max must be an integer, got {u_max!r}")
     if u_max < 0:
         raise ParameterError("u_max must be non-negative")
     if cells is None:
@@ -383,6 +385,8 @@ def _table(iset: IntervalSet, u_max: int, candidate_rule: str, kind: str,
     else:
         wanted = sorted(set(cells))
         for (u, v) in wanted:
+            if type(u) is not int or type(v) is not int:
+                raise ParameterError(f"cell ({u!r}, {v!r}) is not an integer pair")
             if not (0 <= v <= u <= u_max):
                 raise ParameterError(f"cell ({u}, {v}) outside the grid")
     ws = _Workspace(iset, u_max + 3)

@@ -242,13 +242,13 @@ def realize_uniform_profile(spec: Spectrum, schedule, d: int = 1,
         values.append(values[-1] + d * (to - knots[-2]))
 
     def extend_spectrum_segment(v_k: Fraction, u_k: Fraction):
-        base = values[-1] + u_k * spec.eval_exact(v_k / u_k)
+        base = values[-1] + spec.lifted(u_k, v_k)
         inner = sorted(
             b * u_k for b in spec.breakpoints if v_k < b * u_k < u_k
         )
         for u in inner + [u_k]:
             knots.append(u)
-            values.append(base - u_k * spec.eval_exact(u / u_k))
+            values.append(base - spec.lifted(u_k, u))
 
     extend_full_slope(pts[0])
     for i in range(1, len(pts)):
@@ -311,14 +311,11 @@ def _strip_profile(spec: Spectrum, k: int, local_depth: int) -> LipschitzProfile
     if local_depth == 0:
         return LipschitzProfile((Fraction(0),), (Fraction(0),), spec.alpha)
     knots = {Fraction(0), Fraction(local_depth)}
-    for b in spec.breakpoints:
-        if b == 0:
-            continue
-        u = Fraction(k, 1) / b - k  # global scale k/b, shifted to local
-        if 0 < u < local_depth:
+    for b in spec.breakpoints[1:]:  # b sits at global scale k/b, local k/b - k
+        if 0 < (u := Fraction(k) / b - k) < local_depth:
             knots.add(u)
     ordered = sorted(knots)
-    values = tuple((k + u) * spec.eval_exact(Fraction(k) / (k + u)) for u in ordered)
+    values = tuple(spec.lifted(k + u, k) for u in ordered)
     return LipschitzProfile(tuple(ordered), values, spec.alpha)
 
 

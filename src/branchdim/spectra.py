@@ -11,9 +11,10 @@ The module provides:
 * decision procedures for the inequalities that classify which functions
   occur as spectra of actual sets (``check_inequality``, ``check_joint``).
 
-All breakpoint arithmetic is done in :class:`fractions.Fraction`.  Every
-two-parameter check asks that a spectrum's value at lambda*theta lie
-between bounds of the form a(theta) + theta*b(lambda); alpha is the
+Every exact value of phi and of its lift u*phi(v/u) is a Fraction read
+from the spectrum's integer form by one evaluator, ``Spectrum.lifted``.
+Every two-parameter check asks that a spectrum's value at lambda*theta
+lie between bounds of the form a(theta) + theta*b(lambda); alpha is the
 spectrum's bound and phiL/phiA are the joint check's two spectra:
 
     check          value  lower bound               upper bound
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, FormatError, ParameterError
-from ._num import Rational, as_fraction, fmt_number, interpolate, scaled, slopes
+from ._num import Rational, as_fraction, fmt_number, scaled, slopes
 
 __all__ = [
     "Spectrum",
@@ -93,6 +94,11 @@ class Spectrum:
     ``values`` are the exact function values there, all within
     ``[0, alpha]``.  Evaluation is affine between breakpoints.  Instances
     are immutable and safe to share between threads.
+
+    Construction derives the integer form (attributes, not fields): ``B``,
+    the lcm of the breakpoint denominators, ``starts[i] = B*b_i`` for each
+    piece start b_i, ``L``, the lcm of the denominators of alpha and of each
+    piece's intercept a_i and slope s_i, and ``pieces[i] = (L*a_i, L*s_i)``.
     """
 
     breakpoints: tuple[Fraction, ...]
@@ -115,14 +121,31 @@ class Spectrum:
                 raise ParameterError(
                     f"value {v} outside [0, {self.alpha}]"
                 )
+        ps = [(y - s * x, s) for x, y, s in zip(bps, vals, slopes(bps, vals))]
+        B = math.lcm(*(b.denominator for b in bps))
+        L = math.lcm(self.alpha.denominator, *(x.denominator for p in ps for x in p))
+        object.__setattr__(self, "B", B)
+        object.__setattr__(self, "starts", tuple(scaled(b, B) for b in bps[:-1]))
+        object.__setattr__(self, "L", L)
+        object.__setattr__(self, "pieces", tuple((scaled(a, L), scaled(s, L)) for a, s in ps))
+
+    def piece(self, p: int, q: int) -> int:
+        """Index of the piece holding p/q in [0, 1]: the last start <= floor(B*p/q)."""
+        return bisect_right(self.starts, self.B * p // q) - 1
+
+    def lifted(self, u, v) -> Fraction:
+        """The lift u*phi(v/u) = (a*u + s*v)/L at rational 0 <= v <= u; 0 at u = 0."""
+        un, ud, vn, vd = u.numerator, u.denominator, v.numerator, v.denominator
+        a, s = self.pieces[self.piece(vn * ud, vd * un) if un else 0]
+        return Fraction(a * un * vd + s * vn * ud, self.L * ud * vd)
 
     def eval_exact(self, theta: Fraction) -> Fraction:
-        """Exact value at an in-range Fraction argument (no domain check)."""
-        return interpolate(self.breakpoints, self.values, theta)
+        """Exact value at a Fraction; the nearest end value outside [0, 1]."""
+        return self.lifted(1, min(max(theta, 0), 1))
 
     def piece_slopes(self) -> tuple[Fraction, ...]:
         """Exact slope of each affine piece, left to right."""
-        return tuple(slopes(self.breakpoints, self.values))
+        return tuple(Fraction(s, self.L) for _, s in self.pieces)
 
 
 @dataclass(frozen=True)
@@ -281,12 +304,6 @@ def make_q(alpha: Rational, a1: Rational, a2: Rational, kappa: Rational) -> Spec
     return Spectrum(tuple(bps), tuple(vals), a, params)
 
 
-def _pieces(spec: Spectrum) -> list[tuple[Fraction, Fraction, Fraction]]:
-    """Affine pieces as (start, intercept, slope), left to right."""
-    return [(x0, y0 - s * x0, s)
-            for x0, y0, s in zip(spec.breakpoints, spec.values, spec.piece_slopes())]
-
-
 def min_family(specs) -> Spectrum:
     """Exact pointwise minimum of spectra sharing one alpha.
 
@@ -307,17 +324,17 @@ def min_family(specs) -> Spectrum:
     for s in specs:
         knots.update(s.breakpoints)
     base = sorted(knots)
-    pieces = [_pieces(s) for s in specs]
+    lcm = math.lcm(*(s.L for s in specs))
     crossings: set[Fraction] = set()
     for x0, x1 in zip(base, base[1:]):
-        # the piece of each spectrum covering [x0, x1)
-        here = [ps[bisect_right(s.breakpoints, x0) - 1][1:]
-                for s, ps in zip(specs, pieces)]
+        # the piece of each spectrum covering [x0, x1), times the common lcm
+        here = [[x * (lcm // s.L) for x in s.pieces[s.piece(x0.numerator, x0.denominator)]]
+                for s in specs]
         for i, (ai, bi) in enumerate(here):
             for aj, bj in here[i + 1:]:
                 if bi == bj:
                     continue
-                x = (aj - ai) / (bi - bj)
+                x = Fraction(aj - ai, bi - bj)
                 if x0 < x < x1:
                     crossings.add(x)
     knots.update(crossings)
@@ -334,6 +351,8 @@ def _sample_points(spec: Spectrum, grid_resolution: int) -> list[Fraction]:
     coordinates of the form b_i or b_i/b_j, so including those makes the
     sampled extremum the true extremum.
     """
+    if type(grid_resolution) is not int:
+        raise ParameterError(f"grid_resolution must be an integer, got {grid_resolution!r}")
     if grid_resolution < 2:
         raise ParameterError("grid_resolution must be at least 2")
     pts = {Fraction(i, grid_resolution) for i in range(1, grid_resolution + 1)}
@@ -351,9 +370,9 @@ def _integer_form(specs, points: list[Fraction]):
     """Exact integer tables for evaluating ``specs`` at sample products.
 
     Let D be the lcm of the denominators of ``points``, so point j is
-    ``nums[j]/D``, and L the lcm of the denominators of every intercept
-    a_i and slope s_i of the pieces phi(x) = a_i + s_i*x and of alpha.
-    Then for every integer k >= 0
+    ``nums[j]/D``, and L the lcm of the specs' ``L``, so each stored
+    piece (L_s*a_i, L_s*s_i) rescales by L/L_s to (L*a_i, L*s_i).  Then
+    for every integer k >= 0
 
         L*D*D*phi(k/D**2) = L*a_i*D**2 + L*s_i*k,
 
@@ -369,22 +388,14 @@ def _integer_form(specs, points: list[Fraction]):
     """
     den = math.lcm(*(x.denominator for x in points))
     nums = [scaled(x, den) for x in points]
-    pieces = [_pieces(spec) for spec in specs]
-    lcm = math.lcm(
-        specs[0].alpha.denominator,
-        *(x.denominator for ps in pieces for (_, a, s) in ps for x in (a, s)),
-    )
+    lcm = math.lcm(*(spec.L for spec in specs))
     den2 = den * den
     tables = []
-    for ps in pieces:
-        starts = [-(-x0.numerator * den2 // x0.denominator) for x0, _, _ in ps]
-        icpt = [scaled(a, lcm) * den2 for _, a, _ in ps]
-        slope = [scaled(s, lcm) for _, _, s in ps]
-        vals = []
-        for n in nums:
-            i = bisect_right(starts, n * den) - 1
-            vals.append((icpt[i] + slope[i] * n * den) // den)
-        tables.append((starts, icpt, slope, vals))
+    for spec in specs:
+        ps = [(a * (lcm // spec.L), s * (lcm // spec.L)) for a, s in spec.pieces]
+        starts = [-(-b * den2 // spec.B) for b in spec.starts]
+        vals = [a * den + s * n for n in nums for a, s in [ps[spec.piece(n, den)]]]
+        tables.append((starts, [a * den2 for a, _ in ps], [s for _, s in ps], vals))
     return nums, den, lcm, tables
 
 
@@ -455,16 +466,8 @@ def _m_ratio_sequence(spec: Spectrum, points: list[Fraction]):
     last piece when phi(1) = 0, and +infinity otherwise (the normalized
     profile blows up when phi does not vanish at 1).
     """
-    out = []
-    for x in points:
-        if x == 1:
-            if spec.values[-1] == 0:
-                out.append(-spec.piece_slopes()[-1])
-            else:
-                out.append(math.inf)
-        else:
-            out.append(spec.eval_exact(x) / (1 - x))
-    return out
+    at_one = -spec.piece_slopes()[-1] if spec.values[-1] == 0 else math.inf
+    return [at_one if x == 1 else spec.eval_exact(x) / (1 - x) for x in points]
 
 
 def check_inequality(
@@ -513,9 +516,7 @@ def check_inequality(
         best = ratios[0]
         best_at = points[0]
         for x, r in zip(points[1:], ratios[1:]):
-            margin = r - best if not math.isinf(r) else (
-                math.inf if not math.isinf(best) else Fraction(0)
-            )
+            margin = r - best  # inf once r is, as best stays finite
             if worst is None or margin > worst:
                 worst, witness = margin, (float(best_at), float(x))
             if r < best:
@@ -648,8 +649,6 @@ def spectrum_from_text(text: str) -> Spectrum:
             bps.append(as_fraction(parts[0]))
             vals.append(as_fraction(parts[1]))
         return spectrum_from_breakpoints(bps, vals, alpha)
-    except FormatError:
-        raise
     except (KeyError, ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"bad spectrum text: {exc}") from exc
     except ParameterError as exc:

@@ -304,6 +304,24 @@ class TestSandwich:
 
 
 class TestTables:
+    def test_fractional_cell_rejected(self):
+        with pytest.raises(ParameterError, match=r"cell \(4, Fraction\(1, 2\)\)"):
+            lb_table(IntervalSet([(0, 1)]), 4, cells=[(4, F(1, 2))])
+
+    def test_fractional_u_max_rejected(self):
+        with pytest.raises(ParameterError, match=r"u_max .*Fraction\(9, 2\)"):
+            ub_table(FULL, F(9, 2))
+
+    def test_boolean_cell_rejected(self):
+        with pytest.raises(ParameterError, match=r"cell \(True, 0\)"):
+            lb_table(FULL, 4, cells=[(True, 0)])
+
+    def test_range_messages_kept(self):
+        with pytest.raises(ParameterError, match="u_max must be non-negative"):
+            lb_table(FULL, -1)
+        with pytest.raises(ParameterError, match=r"cell \(5, 0\) outside the grid"):
+            lb_table(FULL, 4, cells=[(5, 0)])
+
     def test_lb_diagonal_is_zero(self):
         for iset in (FULL, TWO_PIECE, alternating_moran(6)):
             t = lb_table(iset, 6)

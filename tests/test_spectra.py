@@ -1,5 +1,8 @@
 """Unit tests for the piecewise-linear spectrum algebra."""
 
+import dataclasses
+import math
+import re
 from fractions import Fraction as F
 from itertools import product
 
@@ -7,9 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from branchdim.branch import lift
+from branchdim._num import interpolate
+from branchdim.branch import LiftBranch, LipschitzProfile, lift
 from branchdim.errors import DomainError, FormatError, ParameterError
-from branchdim.sets import build_assembly
+from branchdim.sets import (
+    _strip_profile,
+    build_assembly,
+    geometric_schedule,
+    realize_uniform_profile,
+)
 from branchdim.spectra import (
     Spectrum,
     _report,
@@ -25,6 +34,7 @@ from branchdim.spectra import (
     spectrum_from_text,
     spectrum_to_text,
 )
+from test_num import oracle_eval_exact
 
 MINI_LAMBDAS = (F(15, 100), F(4, 10), F(65, 100))
 
@@ -203,10 +213,20 @@ class TestInequalities:
             assert rep.worst_violation >= 0.0
 
     def test_grid_resolution_validated(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="grid_resolution must be at least 2"):
             check_inequality(zero_spectrum(), "S", 1)
+        with pytest.raises(ParameterError, match="grid_resolution .*2.5"):
+            check_inequality(zero_spectrum(), "S", 2.5)
         with pytest.raises(ParameterError):
             check_inequality(zero_spectrum(), "XX", 8)
+
+    def test_M_infinite_margin_at_one(self):
+        # phi(1) != 0 makes the ratio at 1 infinite; the best before it is
+        # the finite ratio at the first sample
+        flat = spectrum_from_breakpoints((0, 1), (F(1, 2), F(1, 2)), 1)
+        rep = check_inequality(flat, "M", 4)
+        assert rep.worst_margin == math.inf
+        assert rep.witness == (0.25, 1.0)
 
     def test_nonvanishing_at_one_fails_M_and_S(self):
         flat = spectrum_from_breakpoints((0, 1), (F(1, 2), F(1, 2)), 1)
@@ -540,3 +560,136 @@ class TestSerialization:
                     "family=q alpha=1 a1=1/2 a2=2/3 kappa=1/4\n"):
             with pytest.raises(FormatError):
                 spectrum_from_text(bad)
+
+
+# ---------------------------------------------------------------------------
+# the integer form: every reader of phi and of its lift u*phi(v/u) against
+# the Fraction formulas it replaced
+
+BIG_DENOMINATORS = [
+    spectrum_from_breakpoints((0, F(1, 97), F(50, 97), 1),
+                              (1, F(95, 97), F(30, 97), 0), 1),
+    spectrum_from_breakpoints((0, F(1, 97), F(50, 97), F(3, 4), 1),
+                              (F(7, 5), F(4, 3), F(50, 97), F(1, 11), 0), F(7, 5)),
+    make_psi(1, F(50, 97), F(3, 97)),  # these two pass L and S, so they realize
+    make_psi(F(3, 2), F(1, 97), F(1, 3)),
+]
+FORM_SPECTRA = list(ORACLE_SPECTRA.values()) + BIG_DENOMINATORS
+
+
+def oracle_strip(spec, k, local_depth):
+    """sets._strip_profile's old knots and Fraction values."""
+    if local_depth == 0:
+        return (F(0),), (F(0),)
+    knots = {F(0), F(local_depth)}
+    for b in spec.breakpoints:
+        if b == 0:
+            continue
+        u = F(k, 1) / b - k
+        if 0 < u < local_depth:
+            knots.add(u)
+    ordered = sorted(knots)
+    return tuple(ordered), tuple((k + u) * oracle_eval_exact(spec, F(k) / (k + u))
+                                 for u in ordered)
+
+
+def oracle_realize(spec, pts, d=1):
+    """realize_uniform_profile's old knots and Fraction values."""
+    knots, values = [F(0)], [F(0)]
+
+    def full(to):
+        knots.append(to)
+        values.append(values[-1] + d * (to - knots[-2]))
+
+    full(pts[0])
+    for i in range(1, len(pts)):
+        if i % 2 == 0:
+            full(pts[i])
+            continue
+        v_k, u_k = pts[i - 1], pts[i]
+        base = values[-1] + u_k * oracle_eval_exact(spec, v_k / u_k)
+        inner = sorted(b * u_k for b in spec.breakpoints if v_k < b * u_k < u_k)
+        for u in inner + [u_k]:
+            knots.append(u)
+            values.append(base - u_k * oracle_eval_exact(spec, u / u_k))
+    return tuple(knots), tuple(values)
+
+
+def lift_probes(spec, u):
+    """v = 0, v = u, v/u on every breakpoint, and a point inside each piece."""
+    ts = list(spec.breakpoints)
+    ts += [a + (b - a) / 3 for a, b in zip(ts, ts[1:])]
+    return [t * u for t in ts]
+
+
+def assert_form_matches(spec, u_max=F(29, 3)):
+    outside = [F(-5, 2), F(-1, 97), F(98, 97), F(3, 2), F(7)]
+    inside = [F(i, 23) for i in range(24)] + list(spec.breakpoints)
+    for x in inside + outside:
+        got = spec.eval_exact(x)
+        assert type(got) is F
+        assert got == interpolate(spec.breakpoints, spec.values, x)
+    branch = LiftBranch(spec, u_max, False)
+    for u in (F(1, 3), F(1), F(5, 2), 7, u_max):
+        for v in lift_probes(spec, u):
+            want = u * oracle_eval_exact(spec, F(v) / u)
+            got, val = spec.lifted(u, v), branch.value(u, v)
+            assert (got, val) == (want, want)
+            assert type(got) is F and type(val) is F
+    assert branch.value(0, 0) == 0 and type(branch.value(0, 0)) is F
+    for u, v in ((7, 0), (7, 3), (7, 7), (97, 50)):  # int arguments
+        assert spec.lifted(u, v) == u * oracle_eval_exact(spec, F(v, u))
+    assert spec.piece_slopes() == tuple(
+        (y1 - y0) / (x1 - x0) for x0, x1, y0, y1 in zip(
+            spec.breakpoints, spec.breakpoints[1:], spec.values, spec.values[1:]))
+
+
+class TestIntegerFormMatchesFractionFormulas:
+    @pytest.mark.parametrize("spec", FORM_SPECTRA)
+    def test_eval_and_lift(self, spec):
+        assert_form_matches(spec)
+
+    @settings(max_examples=60, deadline=None)
+    @given(*SWEEP)
+    def test_eval_and_lift_swept(self, knots, heights, alpha):
+        assert_form_matches(swept_spectrum(knots, heights, alpha), u_max=F(48))
+
+    def test_clamp_outside_the_unit_interval(self):
+        phi = make_phi(1, F(1, 2), F(1, 4))
+        assert phi.eval_exact(F(3, 2)) == 0
+        assert phi.eval_exact(F(-1, 2)) == 1
+
+    @pytest.mark.parametrize("spec", FORM_SPECTRA)
+    def test_strip_profiles(self, spec):
+        for k, local_depth in ((1, 0), (1, 5), (2, 7), (3, 13), (5, 11)):
+            knots, values = oracle_strip(spec, k, local_depth)
+            try:
+                want = LipschitzProfile(knots, values, spec.alpha)
+            except ParameterError as exc:
+                with pytest.raises(ParameterError, match=re.escape(str(exc))):
+                    _strip_profile(spec, k, local_depth)
+                continue
+            got = _strip_profile(spec, k, local_depth)
+            assert (got.knots, got.values) == (want.knots, want.values)
+            assert all(type(x) is F for x in got.values)
+
+    @pytest.mark.parametrize("spec", [
+        s for s in FORM_SPECTRA  # realization needs L and S
+        if check_inequality(s, "L", 64).passed and check_inequality(s, "S", 64).passed])
+    def test_realized_profiles(self, spec):
+        d = math.ceil(spec.alpha)
+        for pts in (geometric_schedule(3, 81), [F(1, 3), 1, F(7, 3), 5, F(97, 7)]):
+            got = realize_uniform_profile(spec, pts, d=d)
+            assert (got.knots, got.values) == oracle_realize(spec, pts, d)
+
+    def test_fields_equality_hash_and_repr(self):
+        assert [f.name for f in dataclasses.fields(Spectrum)] == \
+            ["breakpoints", "values", "alpha", "params"]
+        a = spectrum_from_breakpoints((0, F(1, 97), 1), (1, F(1, 2), 0), 1)
+        b = spectrum_from_breakpoints(("0", "1/97", "1"), ("1", "0.5", "0"), "1")
+        assert a == b and hash(a) == hash(b)
+        assert a != spectrum_from_breakpoints((0, F(1, 97), 1), (1, F(1, 3), 0), 1)
+        assert repr(a) == (
+            "Spectrum(breakpoints=(Fraction(0, 1), Fraction(1, 97), Fraction(1, 1)), "
+            "values=(Fraction(1, 1), Fraction(1, 2), Fraction(0, 1)), "
+            "alpha=Fraction(1, 1), params=None)")
