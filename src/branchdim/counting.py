@@ -18,11 +18,23 @@ at least 1 (the center itself witnesses a single point).
 
 The strict gap condition needs care: the greedy packing wants to place a
 point "immediately after" position p + 4r, which is not a dyadic number.
-Positions therefore carry an infinitesimal-offset counter alongside the
-integer coordinate; a position (x, n) means x plus n dialed epsilons.  A
-point fits a closed interval iff its integer part is strictly inside, or
-sits at the right endpoint with a zero counter.  This keeps every count
-an exact integer while honoring strict inequalities.
+So it keeps the integer reach = p + 4r and puts the next point an
+infinitesimal past it, where it fits a closed piece iff reach is strictly
+below the piece's end; a point at a piece's start beyond reach needs no
+offset.  This keeps every count an exact integer while honoring strict
+inequalities.
+
+A table cell takes the extremum over candidate centers, but the dense
+rule's level-(v+3) points are never visited one by one.  A point whose
+window [c - R, c + R] lies inside its own piece sees that one clipped
+piece, so its count is a constant per cell.  lb: the window holds
+max(1, ceil(2R/gap)) points, the most any window of that length holds
+(points more than gap apart span over (n-1)*gap < 2R), so it only seeds
+the minimum as its cutoff.  ub: with R = 2^-v a multiple of the level-u
+side, the window hits 2R/side cubes, one more when c is off the level-u
+grid, which only u < v+3 allows.  So only the points within R of a
+piece end reach a kernel.  Covers read per-level prefix counts of each
+piece's cube range: two bisects and a fix-up of the first and last piece.
 """
 
 from __future__ import annotations
@@ -32,6 +44,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .branch import EtaBound
 from .errors import DomainError, ParameterError
@@ -137,16 +150,26 @@ class _Workspace:
         self.pieces = iset.scaled_pairs(self.scale)
         self.starts = [lo for lo, _ in self.pieces]
         self.ends = [hi for _, hi in self.pieces]
-
-    def window_slice(self, wl: int, wr: int):
-        first = bisect_left(self.ends, wl)
-        last = bisect_right(self.starts, wr)
-        return self.pieces[first:last]
+        self._cubes = {}
 
     def locate(self, x) -> bool:
         """Is ``x`` (in workspace units, integer or exact rational) in the set?"""
         i = bisect_right(self.starts, x) - 1
         return i >= 0 and self.pieces[i][0] <= x <= self.pieces[i][1]
+
+    def cubes(self, shift: int):
+        """``(first, last, new)`` at level scale - ``shift``: piece i hits cubes
+        first[i] .. last[i], and new[i] counts the cubes pieces before i hit,
+        each once (a piece shares at most its first cube with its left neighbour).
+        """
+        if shift not in self._cubes:
+            unit = 1 << shift
+            first = [lo >> shift for lo in self.starts]
+            last = [lo >> shift if lo == hi else ((hi + unit - 1) >> shift) - 1
+                    for lo, hi in self.pieces]
+            steps = (b - a + (a != p) for a, b, p in zip(first, last, [None] + last))
+            self._cubes[shift] = (first, last, list(accumulate(steps, initial=0)))
+        return self._cubes[shift]
 
 
 def _greedy_pack(ws: _Workspace, c: int, rad: int, gap: int,
@@ -157,61 +180,66 @@ def _greedy_pack(ws: _Workspace, c: int, rad: int, gap: int,
     distances strictly greater than ``gap`` and lie within rad - gap/2 of
     ``c``, so their closed gap/2-balls stay inside the ball; a negative
     shrunken radius leaves only the center.  Leftmost-greedy over the
-    window-clipped pieces is optimal in one dimension.  The count is at
-    least 1; with ``cutoff`` the scan stops as soon as the running count
-    reaches it (useful when minimizing over candidates).
+    window-clipped pieces is optimal in one dimension: a piece takes a
+    point at its start if that lies beyond ``reach`` (last point + gap),
+    then points a gap and an infinitesimal apart up to its end.  Only the
+    first and last pieces are clipped.  The count is at least 1; with
+    ``cutoff`` the scan stops once the count reaches it.
     """
     half = rad - gap // 2
     if half < 0:
         return 1
     wl, wr = c - half, c + half
-    count = 0
-    px = pn = None  # position of the last placed point: px + pn epsilons
-    for lo, hi in ws.window_slice(wl, wr):
-        lo, hi = max(lo, wl), min(hi, wr)
-        if px is None or px + gap < lo:
-            x, n = lo, 0
-        else:
-            x, n = px + gap, pn + 1
-        span = hi - x
-        if n == 0:
-            m = max(1, -(-span // gap))  # clipping keeps span >= 0 here
-        else:
-            m = -(-span // gap) if span > 0 else 0
-        if m <= 0:
-            continue
-        count += m
-        px, pn = x + (m - 1) * gap, n + (m - 1)
+    starts, ends = ws.starts, ws.ends
+    i = bisect_left(ends, wl)
+    last = bisect_right(starts, wr) - 1
+    if i > last:
+        return 1
+    count, reach = 1, (starts[i] if starts[i] > wl else wl) + gap
+    for k in range(i, last):
+        if reach < starts[k]:
+            count += 1
+            reach = starts[k] + gap
+        m = (reach - ends[k]) // gap
+        if m < 0:
+            count -= m
+            reach -= m * gap
         if cutoff is not None and count >= cutoff:
             return count
-    return max(1, count)
+    if reach < starts[last]:
+        count += 1
+        reach = starts[last] + gap
+    m = (reach - (ends[last] if ends[last] < wr else wr)) // gap
+    return count - m if m < 0 else count
 
 
-def _cover_cubes(ws: _Workspace, c: int, rad: int, shift: int) -> int:
-    """Level-u cubes hit by the set in the ball B(c, rad); ``shift`` = scale - u.
+def _cover(ws: _Workspace, wl: int, wr: int, shift: int) -> int:
+    """Level cubes (``shift`` = scale - u) hit by the set in the window [wl, wr].
 
-    Nondegenerate clipped pieces [x, y] hit cubes floor(x) .. ceil(y)-1
-    in level-u units; a degenerate point hits the single cube floor(x).
-    Adjacent pieces may hit overlapping cube ranges, merged on the fly.
+    A clipped piece [x, y] hits cubes floor(x) .. ceil(y)-1 in level-u
+    units, or the single cube floor(x) when x = y.  The union is ``new``
+    between the second and the last piece plus the two clipped end pieces,
+    each cube shared with a neighbour counted once.
     """
-    wl, wr = c - rad, c + rad
-    count = 0
-    unit = 1 << shift
-    last_hi = None  # last counted cube index
-    for lo, hi in ws.window_slice(wl, wr):
-        lo, hi = max(lo, wl), min(hi, wr)
-        if lo == hi:
-            j_lo = j_hi = lo >> shift
-        else:
-            j_lo = lo >> shift
-            j_hi = ((hi + unit - 1) >> shift) - 1
-        if last_hi is not None and j_lo <= last_hi:
-            j_lo = last_hi + 1
-            if j_lo > j_hi:
-                continue
-        count += j_hi - j_lo + 1
-        last_hi = j_hi
-    return count
+    starts, ends = ws.starts, ws.ends
+    f = bisect_left(ends, wl)
+    last = bisect_right(starts, wr) - 1
+    if f > last:
+        return 0
+    x = starts[f] if starts[f] > wl else wl
+    y = ends[last] if ends[last] < wr else wr
+    up = (1 << shift) - 1
+    if f == last:
+        return 1 if x == y else ((y + up) >> shift) - (x >> shift)
+    first, lasts, new = ws.cubes(shift)
+    b_f = x >> shift if x == ends[f] else lasts[f]
+    b_l = y >> shift if y == starts[last] else ((y + up) >> shift) - 1
+    count = b_f - (x >> shift) + new[last] - new[f + 1] + b_l - first[last] + 2
+    if f + 1 < last:
+        # new[f + 1] took piece f + 1's shared cube from the unclipped piece f
+        count += (first[f + 1] == lasts[f]) - (first[f + 1] == b_f)
+        b_f = lasts[last - 1]
+    return count - (first[last] == b_f)
 
 
 def _ball(iset: IntervalSet, center: Rational, radius: Rational,
@@ -258,7 +286,7 @@ def covering_count(iset: IntervalSet, center: Rational, radius: Rational,
     if u < 0:
         raise ParameterError(f"cube level must be non-negative, got {u}")
     ws, c, rad = _ball(iset, center, radius, u)
-    return _cover_cubes(ws, c, rad, ws.scale - u)
+    return _cover(ws, c - rad, c + rad, ws.scale - u)
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +361,11 @@ def _candidates_per_level(ws: _Workspace, rule: str):
       the endpoints flanking the widest interior gaps; meant for very deep
       sets where the endpoint list itself is huge.
 
-    Only dense depends on the ball level v; the other two lists are built
-    once and returned for every v.
+    The function returns ``(centers, inner)`` for a ball level v.  For
+    dense, ``inner`` holds one index range (a, b) per piece: the level-(v+3)
+    points j * 2^(scale-v-3), a <= j <= b, whose radius-2^-v window lies
+    inside their own piece; ``centers`` is every other candidate, sorted.
+    The other two rules have no ``inner`` and build their list once.
     """
     if rule == "sparse":
         k = SPARSE_KEEP
@@ -351,25 +382,31 @@ def _candidates_per_level(ws: _Workspace, rule: str):
         for i in gaps:
             cands.add(ws.pieces[i][1])
             cands.add(ws.pieces[i + 1][0])
-        sparse = sorted(cands)
+        sparse = (sorted(cands), [])
         return lambda v: sparse
-    if rule not in ("endpoints", "dense"):
-        raise ParameterError(f"unknown candidate rule {rule!r}")
-    ends = []
-    for lo, hi in ws.pieces:
-        ends.append(lo)
-        if hi != lo:
-            ends.append(hi)
     if rule == "endpoints":
-        endpoints = sorted(set(ends))
+        endpoints = (sorted({x for piece in ws.pieces for x in piece}), [])
         return lambda v: endpoints
+    if rule != "dense":
+        raise ParameterError(f"unknown candidate rule {rule!r}")
 
-    def dense(v: int) -> list[int]:
-        cands = list(ends)
-        unit = 1 << (ws.scale - min(v + 3, ws.scale))
+    def dense(v: int):
+        step = 1 << (ws.scale - v - 3)
+        rad = step << 3
+        centers, inner = [], []
         for lo, hi in ws.pieces:
-            cands.extend(j * unit for j in range(-(-lo // unit), hi // unit + 1))
-        return sorted(set(cands))
+            centers.append(lo)
+            if hi == lo:
+                continue
+            a, b = -(-(lo + rad) // step), (hi - rad) // step
+            if a <= b:
+                inner.append((a, b))
+                centers.extend(range((lo // step + 1) * step, a * step, step))
+                centers.extend(range((b + 1) * step, hi, step))
+            else:
+                centers.extend(range((lo // step + 1) * step, hi, step))
+            centers.append(hi)
+        return centers, inner
 
     return dense
 
@@ -397,8 +434,12 @@ def _table(iset: IntervalSet, u_max: int, candidate_rule: str, kind: str,
         by_v.setdefault(v, []).append(u)
     out = {}
     for v, us in sorted(by_v.items()):
-        cands = candidates(v)
+        centers, inner = candidates(v)
         rad = 1 << (ws.scale - v)
+        # Fewest trailing zero bits of an inner point's index: that point
+        # is off the level-u grid exactly when this is below v + 3 - u.
+        zeros = min((0 if a < b else (a & -a).bit_length() - 1 if a else ws.scale
+                     for a, b in inner), default=None)
         for u in sorted(us):
             if kind == "ub" and u == v:
                 # A radius-r ball is covered by one radius-r ball (itself);
@@ -406,25 +447,27 @@ def _table(iset: IntervalSet, u_max: int, candidate_rule: str, kind: str,
                 # zero diagonal shared by both kinds.
                 out[(u, v)] = 1
                 continue
-            gap = 1 << (ws.scale - u + 2)
+            shift = ws.scale - u
+            gap = 1 << (shift + 2)
             # Once the radius exceeds the hull width by the packing gap (a
-            # packing window is shrunk by half of it), every candidate's
-            # window holds the whole set, so the first count is the answer.
-            full_cover = rad >= width + (gap if kind == "lb" else 0)
-            best = None
-            for c in cands:
-                if kind == "lb":
-                    got = _greedy_pack(ws, c, rad, gap, cutoff=best)
-                    if best is None or got < best:
-                        best = got
-                    if best <= 1 or full_cover:
+            # packing window is shrunk by half of it), every center's
+            # window holds the whole set, so any one count is the answer.
+            full = rad >= width + (gap if kind == "lb" else 0)
+            cands = centers[:1] if full else centers
+            if kind == "lb":
+                # An inner window holds the most points any window can:
+                # that bound starts the minimum as its cutoff.
+                best = max(1, -(-2 * (rad - gap // 2) // gap))
+                for c in cands:
+                    if best <= 1:
                         break
-                else:
-                    got = _cover_cubes(ws, c, rad, ws.scale - u)
-                    if best is None or got > best:
-                        best = got
-                    if full_cover:
-                        break
+                    best = min(best, _greedy_pack(ws, c, rad, gap, cutoff=best))
+            else:
+                # An inner window hits 2*rad / 2^shift level-u cubes, one
+                # more when its center is off the level-u grid.
+                best = ((2 * rad) >> shift) + (zeros < v + 3 - u) if inner else 0
+                for c in cands:
+                    best = max(best, _cover(ws, c - rad, c + rad, shift))
             out[(u, v)] = best
     return CountTable(kind=kind, u_max=u_max, cells=out,
                       candidate_rule=candidate_rule)

@@ -30,7 +30,7 @@ from .branch import LipschitzProfile
 from .counting import IntervalSet
 from .errors import ParameterError
 from .spectra import Spectrum, _chain_holds, check_inequality
-from ._num import Rational, as_fraction, lipschitz_minorant, merge_ranges
+from ._num import Rational, as_fraction, lipschitz_minorant, merge_ranges, scaled
 
 __all__ = [
     "SubdivisionProfile",
@@ -155,8 +155,24 @@ def profile_from_lipschitz(f: LipschitzProfile, d: int, depth: int) -> Subdivisi
         raise ParameterError("depth must be non-negative")
     if f.at(0) != 0:
         raise ParameterError(f"profile source must vanish at 0, got {f.at(0)}")
-    h = lipschitz_minorant([math.floor(f.at(k)) for k in range(depth + 1)], d)
+    h = lipschitz_minorant(_floors(f, depth), d)
     return SubdivisionProfile(d, tuple(h[k] - h[k - 1] for k in range(1, depth + 1)))
+
+
+def _floors(f: LipschitzProfile, depth: int) -> list[int]:
+    """floor(f(k)) for k = 0..depth: (a + b*k) // den on each knot segment,
+    the end values outside the knots."""
+    ks, ys = f.knots, f.values
+    out = [math.floor(ys[0])] * min(depth + 1, max(0, math.ceil(ks[0])))
+    for x0, x1, y0, y1 in zip(ks, ks[1:], ys, ys[1:]):
+        slope = Fraction(y1 - y0) / (x1 - x0)
+        start = y0 - slope * x0
+        den = math.lcm(slope.denominator, start.denominator)
+        a, b = scaled(start, den), scaled(slope, den)
+        out.extend((a + b * k) // den
+                   for k in range(len(out), min(depth + 1, math.ceil(x1))))
+    out.extend([math.floor(ys[-1])] * (depth + 1 - len(out)))
+    return out
 
 
 def build_moran(profile: SubdivisionProfile, depth: int) -> DyadicSet:

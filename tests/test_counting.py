@@ -26,7 +26,9 @@ from branchdim.counting import (
     ub_table,
     uniformity_report_to_csv,
     _candidates_per_level,
+    _cover,
     _dyadic_exponent,
+    _greedy_pack,
     _Workspace,
 )
 from branchdim.errors import DomainError, ParameterError
@@ -451,8 +453,30 @@ def random_gap_set(widths):
     return IntervalSet(runs, scale=6)
 
 
+def check_split(ws, rule, v, split):
+    """The centers and the inner progressions make up the oracle's list.
+
+    Inner points (dense only) are level-(v+3) points whose radius-2^-v
+    window lies in their own piece; every center's window leaves its piece.
+    """
+    centers, inner = split
+    step = 1 << (ws.scale - v - 3)
+    rad = step << 3
+    points = [j * step for a, b in inner for j in range(a, b + 1)]
+    if rule != "dense":
+        assert inner == []
+    assert centers == sorted(set(centers))
+    assert sorted(centers + points) == per_level_candidates(ws, rule, v)
+    if rule == "dense":
+        for c in points:
+            assert any(lo <= c - rad and c + rad <= hi for lo, hi in ws.pieces)
+        for c in centers:
+            assert not any(lo <= c - rad and c + rad <= hi for lo, hi in ws.pieces)
+
+
 class TestCandidatesMatchPerLevelOracle:
-    """Candidates built once per table equal the per-level rebuild."""
+    """Candidates equal the per-level rebuild: the endpoint and sparse lists
+    built once per table, and the dense centers with the inner progressions."""
 
     @pytest.mark.parametrize("rule", ["endpoints", "dense", "sparse"])
     @pytest.mark.parametrize("name,iset,u_max", [
@@ -468,7 +492,7 @@ class TestCandidatesMatchPerLevelOracle:
         ws = _Workspace(iset, u_max + 3)
         candidates = _candidates_per_level(ws, rule)
         for v in range(u_max + 1):
-            assert candidates(v) == per_level_candidates(ws, rule, v), (name, v)
+            check_split(ws, rule, v, candidates(v))
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.integers(1, 4), min_size=0, max_size=40),
@@ -478,7 +502,16 @@ class TestCandidatesMatchPerLevelOracle:
         for rule in ("endpoints", "dense", "sparse"):
             candidates = _candidates_per_level(ws, rule)
             for v in range(u_max + 1):
-                assert candidates(v) == per_level_candidates(ws, rule, v)
+                check_split(ws, rule, v, candidates(v))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_random_wide_sets(self, data):
+        iset, u_max = data.draw(wide_dyadic_sets())
+        ws = _Workspace(iset, u_max + 3)
+        candidates = _candidates_per_level(ws, "dense")
+        for v in range(u_max + 1):
+            check_split(ws, "dense", v, candidates(v))
 
     def test_unknown_rule(self):
         with pytest.raises(ParameterError):
@@ -685,6 +718,13 @@ class TestSerialization:
 # tables and the one-ball counts shared the two window-owning kernels,
 # kept as oracles.
 
+def window_slice(pieces, wl, wr):
+    """The pieces meeting the window [wl, wr]."""
+    first = bisect_left([hi for _, hi in pieces], wl)
+    last = bisect_right([lo for lo, _ in pieces], wr)
+    return pieces[first:last]
+
+
 def oracle_greedy_pack(pieces, window_lo, window_hi, gap, cutoff=None):
     count = 0
     px = pn = None
@@ -751,7 +791,7 @@ def oracle_packing_count(iset, center, radius, r):
     rad = int(radius * unit) - g // 2
     if rad < 0:
         return 1
-    return max(1, oracle_greedy_pack(ws.window_slice(c - rad, c + rad),
+    return max(1, oracle_greedy_pack(window_slice(ws.pieces, c - rad, c + rad),
                                      c - rad, c + rad, g))
 
 
@@ -769,19 +809,21 @@ def oracle_covering_count(iset, center, radius, u):
     if not ws.locate(c):
         raise DomainError(f"center {center} lies outside the set")
     rad = int(radius * unit)
-    return oracle_cover_cubes(ws.window_slice(c - rad, c + rad), c - rad, c + rad,
+    return oracle_cover_cubes(window_slice(ws.pieces, c - rad, c + rad), c - rad, c + rad,
                               ws.scale - u)
 
 
-def oracle_table_cells(iset, u_max, candidate_rule, kind):
+def oracle_table_cells(iset, u_max, candidate_rule, kind, cells=None):
+    """Every candidate of the per-level oracle list, through the oracle kernels."""
     ws = _Workspace(iset, u_max + 3)
-    candidates = _candidates_per_level(ws, candidate_rule)
     hull_lo, hull_hi = ws.pieces[0][0], ws.pieces[-1][1]
     out = {}
     for v in range(u_max + 1):
-        cands = candidates(v)
+        cands = per_level_candidates(ws, candidate_rule, v)
         rad = 1 << (ws.scale - v)
         for u in range(v, u_max + 1):
+            if cells is not None and (u, v) not in cells:
+                continue
             gap = 1 << (ws.scale - u + 2)
             if kind == "lb":
                 eff = rad - gap // 2
@@ -797,7 +839,7 @@ def oracle_table_cells(iset, u_max, candidate_rule, kind):
             best = None
             for c in cands:
                 wl, wr = c - eff, c + eff
-                pieces = ws.window_slice(wl, wr)
+                pieces = window_slice(ws.pieces, wl, wr)
                 if kind == "lb":
                     got = max(1, oracle_greedy_pack(pieces, wl, wr, gap, cutoff=best))
                     if best is None or got < best:
@@ -838,6 +880,24 @@ def small_dyadic_sets(draw):
     runs = draw(st.lists(st.tuples(st.integers(0, top), st.integers(0, 3)),
                          min_size=1, max_size=6))
     return IntervalSet([(s, min(top, s + w)) for s, w in runs], scale=scale)
+
+
+@st.composite
+def wide_dyadic_sets(draw):
+    """Up to 25 pieces in [0, 1] at scale <= 8, with a table size u_max <= 11.
+
+    Pieces span consecutive pairs of random cut points, a fifth of them
+    shrunk to isolated points.  Wide pieces put windows inside a piece,
+    and u_max up to 11 reaches inner centers off the level-u grid at
+    u = v+1 and u = v+2.
+    """
+    rng = draw(st.randoms(use_true_random=False))
+    scale = rng.randint(0, 8)
+    top = 1 << scale
+    cuts = sorted(rng.sample(range(top + 1), min(top + 1, rng.randint(1, 50))))
+    runs = [(a, a if rng.random() < 0.2 else b)
+            for a, b in zip(cuts[::2], cuts[1::2] + cuts[-1:])]
+    return IntervalSet(runs, scale=scale), rng.randint(0, 11)
 
 
 NARROW = IntervalSet([(F(1, 4), F(5, 16))])  # hull far narrower than 1
@@ -931,6 +991,81 @@ class TestTablesMatchOracle:
                     == oracle_table_cells(iset, u_max, rule, "lb"))
             assert (ub_table(iset, u_max, rule).cells
                     == oracle_table_cells(iset, u_max, rule, "ub"))
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_random_wide_sets(self, data):
+        iset, u_max = data.draw(wide_dyadic_sets())
+        grid = [(u, v) for u in range(u_max + 1) for v in range(u + 1)]
+        cells = data.draw(st.sets(st.sampled_from(grid), min_size=1))
+        for rule in ("endpoints", "dense", "sparse"):
+            for kind, table in (("lb", lb_table), ("ub", ub_table)):
+                assert (table(iset, u_max, rule).cells
+                        == oracle_table_cells(iset, u_max, rule, kind))
+                assert (table(iset, u_max, rule, cells=cells).cells
+                        == oracle_table_cells(iset, u_max, rule, kind, cells))
+
+    def test_single_interval_closed_form(self):
+        """[0, 1] under the dense rule at u_max = 20, cell by cell.
+
+        lb(u, v) = 2^(u-v-2) for u >= v+2, else 1: the center 0 sees
+        [0, 2^-v - 2^(1-u)], which holds that many points 2^(2-u) apart,
+        and no window holds fewer.  ub(u, v) = 1 on the diagonal, 2^u at
+        v = 0, and otherwise 2^(u-v+1) cubes of a window inside [0, 1],
+        plus one when an inner level-(v+3) center is off the level-u grid,
+        which happens for 2 <= v and u <= v+2 (at v = 1 the one inner
+        center is 1/2); windows clipped by 0 or 1 hit no more cubes.
+        """
+        lb = lb_table(FULL, 20).cells
+        ub = ub_table(FULL, 20).cells
+        for u in range(21):
+            for v in range(u + 1):
+                assert lb[(u, v)] == (2 ** (u - v - 2) if u >= v + 2 else 1)
+                if u == v:
+                    want = 1
+                elif v == 0:
+                    want = 2 ** u
+                else:
+                    want = 2 ** (u - v + 1) + (2 <= v and u <= v + 2)
+                assert ub[(u, v)] == want, (u, v)
+
+
+class TestKernelsMatchOracle:
+    """The one-pass greedy and the prefix-sum cover against the piece scans."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_cover_on_random_windows(self, data):
+        iset, _ = data.draw(wide_dyadic_sets())
+        ws = _Workspace(iset, data.draw(st.integers(0, 3)) + iset.scale)
+        hi = ws.ends[-1]
+        # window edges anywhere, and exactly at piece ends
+        edges = st.sampled_from(sorted({x for piece in ws.pieces for x in piece}))
+        for _ in range(10):
+            wl = data.draw(st.one_of(st.integers(-2, hi + 2), edges))
+            wr = data.draw(st.one_of(st.integers(wl, hi + 2), edges.filter(lambda x: x >= wl)))
+            shift = data.draw(st.integers(0, ws.scale))
+            assert (_cover(ws, wl, wr, shift)
+                    == oracle_cover_cubes(window_slice(ws.pieces, wl, wr), wl, wr, shift))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_greedy_on_random_balls(self, data):
+        iset, _ = data.draw(wide_dyadic_sets())
+        ws = _Workspace(iset, iset.scale + 3)
+        for _ in range(10):
+            lo, hi = data.draw(st.sampled_from(ws.pieces))
+            c = data.draw(st.integers(lo, hi))
+            rad = data.draw(st.integers(1, 2 * ws.ends[-1] + 2))
+            gap = 1 << data.draw(st.integers(1, ws.scale + 1))
+            half = rad - gap // 2
+            want = 1 if half < 0 else max(1, oracle_greedy_pack(
+                window_slice(ws.pieces, c - half, c + half), c - half, c + half, gap))
+            assert _greedy_pack(ws, c, rad, gap) == want
+            cutoff = data.draw(st.integers(1, want + 1))
+            got = _greedy_pack(ws, c, rad, gap, cutoff)
+            assert got == want or cutoff <= got <= want
 
 
 class TestContainsMatchesOracle:

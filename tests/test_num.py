@@ -34,6 +34,7 @@ from branchdim.sets import (
     build_moran,
     enumerate_components,
     profile_from_lipschitz,
+    _floors,
 )
 from branchdim.spectra import (
     check_inequality,
@@ -433,6 +434,20 @@ class TestMinorant:
         profile = LipschitzProfile(tuple(knots), tuple(values), F(d))
         assert profile_from_lipschitz(profile, d, depth).a == \
             oracle_profile_from_lipschitz(profile, d, depth)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(-6, 6), st.integers(1, 4), st.fractions(0, 3),
+           st.lists(st.tuples(st.integers(1, 9), st.fractions(0, 2)), max_size=6),
+           st.integers(0, 30))
+    def test_floors_per_segment(self, first, den, start, pieces, depth):
+        # A first knot below, at or above 0 and depths past the last knot.
+        knots, values = [F(first, den)], [F(start) if first else F(0)]
+        for width, slope in pieces:
+            knots.append(knots[-1] + F(width, den))
+            values.append(values[-1] + slope * F(width, den))
+        profile = LipschitzProfile(tuple(knots), tuple(values), F(2))
+        assert _floors(profile, depth) == [math.floor(profile.at(k))
+                                           for k in range(depth + 1)]
 
 
 # ---------------------------------------------------------------------------
