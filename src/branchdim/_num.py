@@ -1,22 +1,23 @@
 """Small numeric helpers shared by every layer.
 
 Exact rational conversion and deterministic formatting, plus the one
-implementation of each algorithm the layers share: interpolation of the
-piecewise-linear profiles and minorants (``interpolate``), piece slopes
-(``slopes``), the maximal non-decreasing Lipschitz minorant of a sequence
-(``lipschitz_minorant``), the merge of sorted integer ranges (``merge_ranges``)
-and the integer numerator of a rational over a common denominator (``scaled``).
+implementation of each algorithm the layers share: the integer form of a
+piecewise-linear curve (``PiecewiseLinear``, behind ``Spectrum`` and
+``LipschitzProfile``), the maximal non-decreasing Lipschitz minorant of a
+sequence (``lipschitz_minorant``), the merge of sorted integer ranges
+(``merge_ranges``) and the integer numerator of a rational over a common
+denominator (``scaled``).
 
-The toolkit keeps its curve values (breakpoints, piecewise-linear
-evaluation) exact, as :class:`fractions.Fraction`, so that equality tests
-and tolerance-zero checks are meaningful.  Interval geometry stays as integer
-numerators over ``2^scale`` from construction to count.  Floats are
-accepted at the API boundary and converted exactly; they re-enter only in
-reports and CSV output.
+Curves evaluate exactly, from integers into one :class:`fractions.Fraction`,
+so equality tests and tolerance-zero checks are meaningful.  Interval
+geometry stays as integer numerators over ``2^scale`` from construction to
+count.  Floats are accepted at the API boundary and converted exactly; they
+re-enter only in reports and CSV output.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from fractions import Fraction
 from typing import Union
@@ -43,26 +44,39 @@ def as_fraction(x: Rational) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
 
-def interpolate(xs, ys, x):
-    """Value at ``x`` of the piecewise-linear function through (xs[i], ys[i]).
+class PiecewiseLinear:
+    """Mixin: the integer form of a curve affine between ascending knots x_i.
 
-    ``xs`` ascends strictly.  Outside [xs[0], xs[-1]] the value is the
-    nearest end value; the clamp reads the bisect index, so it costs no
-    comparison beyond the bisection.
+    ``_derive_form`` sets attributes, not fields: ``B`` (lcm of the knot
+    denominators), ``starts[i] = B*x_i`` per piece, ``L`` (lcm of the
+    denominators of ``bound`` and of each piece's intercept a_i and slope
+    s_i) and ``pieces[i] = (L*a_i, L*s_i)``.  One knot is one flat piece.
     """
-    i = bisect_right(xs, x)
-    if i == len(xs):
-        return ys[-1]
-    if i == 0:
-        return ys[0]
-    x0, y0 = xs[i - 1], ys[i - 1]
-    return y0 + (ys[i] - y0) * (x - x0) / (xs[i] - x0)
 
+    def _derive_form(self, xs, ys, bound) -> None:
+        ss = [Fraction(y1 - y0, x1 - x0)
+              for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:])] or [Fraction(0)]
+        ps = [(y - s * x, s) for x, y, s in zip(xs, ys, ss)]
+        B = math.lcm(*(x.denominator for x in xs))
+        L = math.lcm(bound.denominator, *(x.denominator for p in ps for x in p))
+        object.__setattr__(self, "B", B)
+        object.__setattr__(self, "starts", tuple(scaled(x, B) for x in xs[:len(ps)]))
+        object.__setattr__(self, "L", L)
+        object.__setattr__(self, "pieces", tuple((scaled(a, L), scaled(s, L)) for a, s in ps))
 
-def slopes(xs, ys) -> list[Fraction]:
-    """Exact slope of each piece between consecutive knots, left to right."""
-    return [Fraction(y1 - y0, x1 - x0)
-            for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:])]
+    def piece(self, p: int, q: int) -> int:
+        """Index of the piece holding p/q (q > 0): the last start <= floor(B*p/q)."""
+        return bisect_right(self.starts, self.B * p // q) - 1
+
+    def lifted(self, u, v) -> Fraction:
+        """u*g(v/u) = (a*u + s*v)/L, v/u in the knot range, from its piece; 0 at u = 0."""
+        un, ud, vn, vd = u.numerator, u.denominator, v.numerator, v.denominator
+        a, s = self.pieces[self.piece(vn * ud, vd * un) if un else 0]
+        return Fraction(a * un * vd + s * vn * ud, self.L * ud * vd)
+
+    def piece_slopes(self) -> tuple[Fraction, ...]:
+        """Exact slope of each affine piece, left to right."""
+        return tuple(Fraction(s, self.L) for _, s in self.pieces)
 
 
 def lipschitz_minorant(values, step) -> list:

@@ -18,8 +18,8 @@ scale limit and property checks.
 
 Values are exact Fractions, so tolerance-zero property checks are
 meaningful.  The triple scan behind ``regularize`` and ``check_branch``
-compares integers over a common denominator, and ``regularize`` keeps its
-minorants as those integers.
+compares integers over a common denominator, and ``regularize`` keeps and
+evaluates its minorants as those integers.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, ParameterError
-from ._num import Rational, as_fraction, interpolate, lipschitz_minorant, scaled, slopes
+from ._num import PiecewiseLinear, Rational, as_fraction, lipschitz_minorant, scaled
 from .spectra import Spectrum, _chain_holds
 
 __all__ = [
@@ -49,13 +49,13 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class LipschitzProfile:
+class LipschitzProfile(PiecewiseLinear):
     """Piecewise-linear one-variable profile g with a slope bound.
 
     Knots ascend; values are non-negative and non-decreasing with exact
     slope at most ``alpha`` between consecutive knots.  When the domain
-    starts at 0 the profile must vanish there.  Evaluation clamps to the
-    endpoint values outside the knot range.
+    starts at 0 the profile must vanish there.  ``at`` reads the integer
+    form (``PiecewiseLinear``), clamped to the end values outside the knots.
     """
 
     knots: tuple[Fraction, ...]
@@ -74,19 +74,21 @@ class LipschitzProfile:
             raise ParameterError("profile must vanish at 0")
         if self.alpha < 0:
             raise ParameterError("alpha must be non-negative")
-        for k0, k1, s in zip(ks, ks[1:], slopes(ks, vs)):
+        self._derive_form(ks, vs, self.alpha)
+        top = scaled(self.alpha, self.L)
+        for k0, k1, (_, s) in zip(ks, ks[1:], self.pieces):
             if s < 0:
                 raise ParameterError("profile must be non-decreasing")
-            if s > self.alpha:
+            if s > top:
                 raise ParameterError(
                     f"profile slope exceeds alpha={self.alpha} on [{k0}, {k1}]"
                 )
 
     def at(self, u: Rational) -> Fraction:
-        return interpolate(self.knots, self.values, as_fraction(u))
+        return self.lifted(1, min(max(as_fraction(u), self.knots[0]), self.knots[-1]))
 
     def max_slope(self) -> Fraction:
-        return max(slopes(self.knots, self.values), default=Fraction(0))
+        return max(self.piece_slopes())
 
 
 class EtaBound:
@@ -183,9 +185,9 @@ class RegularizedBranch(BranchFn):
     ``minorants[z][k]`` is ``den * m_z(z + k)`` for the minorant ``m_z`` of
     the slice at base height z, on the integers z..int(u_max).  The value
     at (u, v) is the minimum of ``m_z(u) - m_z(v)`` over the integers
-    z <= v, with each ``m_z`` interpolated between its integer knots and
-    clamped past the last one.  Integer points read a table of that
-    minimum built once here; every other point interpolates.
+    z <= v, with each ``m_z`` affine between its integer knots and
+    constant past the last one.  Integer points read a table of that
+    minimum built once here; elsewhere each ``m_z`` is read in integers.
     """
 
     def __init__(self, u_max: Rational, precondition: "PreconditionReport",
@@ -203,11 +205,18 @@ class RegularizedBranch(BranchFn):
         if type(u) is int and type(v) is int and 0 <= v <= u < len(table):
             return table[u][v]
         uu, vv = self._domain(u, v)
-        diffs = []
-        for z, m in enumerate(self.minorants[:math.floor(vv) + 1]):
-            knots = range(z, z + len(m))
-            diffs.append(interpolate(knots, m, uu) - interpolate(knots, m, vv))
-        return Fraction(min(diffs), self.den)
+        pu, qu, pv, qv = uu.numerator, uu.denominator, vv.numerator, vv.denominator
+        return Fraction(min(_scaled_at(m, z, pu, qu) * qv - _scaled_at(m, z, pv, qv) * qu
+                            for z, m in enumerate(self.minorants[:pv // qv + 1])),
+                        self.den * qu * qv)
+
+
+def _scaled_at(m: list[int], z: int, p: int, q: int) -> int:
+    """q * m(p/q) for p/q >= z, m affine on its knots z, z+1, ... and constant past them."""
+    k, r = divmod(p - z * q, q)
+    if k >= len(m) - 1:
+        return m[-1] * q
+    return m[k] * (q - r) + m[k + 1] * r
 
 
 class GridBranch(BranchFn):

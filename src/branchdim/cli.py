@@ -184,8 +184,8 @@ def _build_set(cfg: dict):
         slope = _fraction(cfg, "slope", Fraction(1, 2))
         if not (0 <= slope <= 1):
             raise FormatError(f"moran slope must lie in [0, 1], got {slope}")
-        line = LipschitzProfile((Fraction(0), Fraction(depth)),
-                                (Fraction(0), slope * depth), Fraction(1))
+        end = Fraction(max(depth, 1))  # a line needs two knots, also at depth 0
+        line = LipschitzProfile((Fraction(0), end), (Fraction(0), slope * end), Fraction(1))
         profile = profile_from_lipschitz(line, 1, depth)
         return build_moran(profile, depth), depth
     if kind == "assembly":

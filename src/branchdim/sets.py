@@ -30,7 +30,7 @@ from .branch import LipschitzProfile
 from .counting import IntervalSet
 from .errors import ParameterError
 from .spectra import Spectrum, _chain_holds, check_inequality
-from ._num import Rational, as_fraction, lipschitz_minorant, merge_ranges, scaled
+from ._num import Rational, as_fraction, lipschitz_minorant, merge_ranges
 
 __all__ = [
     "SubdivisionProfile",
@@ -160,18 +160,12 @@ def profile_from_lipschitz(f: LipschitzProfile, d: int, depth: int) -> Subdivisi
 
 
 def _floors(f: LipschitzProfile, depth: int) -> list[int]:
-    """floor(f(k)) for k = 0..depth: (a + b*k) // den on each knot segment,
-    the end values outside the knots."""
-    ks, ys = f.knots, f.values
-    out = [math.floor(ys[0])] * min(depth + 1, max(0, math.ceil(ks[0])))
-    for x0, x1, y0, y1 in zip(ks, ks[1:], ys, ys[1:]):
-        slope = Fraction(y1 - y0) / (x1 - x0)
-        start = y0 - slope * x0
-        den = math.lcm(slope.denominator, start.denominator)
-        a, b = scaled(start, den), scaled(slope, den)
-        out.extend((a + b * k) // den
-                   for k in range(len(out), min(depth + 1, math.ceil(x1))))
-    out.extend([math.floor(ys[-1])] * (depth + 1 - len(out)))
+    """floor(f(k)) for k = 0..depth: (a + s*k) // L over each piece's
+    integers, the end values outside the knots."""
+    out = [math.floor(f.values[0])] * min(depth + 1, max(0, math.ceil(f.knots[0])))
+    for (a, s), end in zip(f.pieces, f.knots[1:]):
+        out.extend((a + s * k) // f.L for k in range(len(out), min(depth + 1, math.ceil(end))))
+    out.extend([math.floor(f.values[-1])] * (depth + 1 - len(out)))
     return out
 
 

@@ -11,8 +11,8 @@ The module provides:
 * decision procedures for the inequalities that classify which functions
   occur as spectra of actual sets (``check_inequality``, ``check_joint``).
 
-Every exact value of phi and of its lift u*phi(v/u) is a Fraction read
-from the spectrum's integer form by one evaluator, ``Spectrum.lifted``.
+Every exact value of phi and of its lift u*phi(v/u) is a Fraction read by
+``lifted`` from the integer form every curve shares (``PiecewiseLinear``).
 Every two-parameter check asks that a spectrum's value at lambda*theta
 lie between bounds of the form a(theta) + theta*b(lambda); alpha is the
 spectrum's bound and phiL/phiA are the joint check's two spectra:
@@ -34,12 +34,12 @@ margins.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, FormatError, ParameterError
-from ._num import Rational, as_fraction, fmt_number, scaled, slopes
+from ._num import PiecewiseLinear, Rational, as_fraction, fmt_number, scaled
 
 __all__ = [
     "Spectrum",
@@ -87,7 +87,7 @@ class FamilyParams:
 
 
 @dataclass(frozen=True)
-class Spectrum:
+class Spectrum(PiecewiseLinear):
     """A continuous piecewise-linear function on [0, 1].
 
     ``breakpoints`` are strictly ascending Fractions with first 0 and last 1;
@@ -95,10 +95,9 @@ class Spectrum:
     ``[0, alpha]``.  Evaluation is affine between breakpoints.  Instances
     are immutable and safe to share between threads.
 
-    Construction derives the integer form (attributes, not fields): ``B``,
-    the lcm of the breakpoint denominators, ``starts[i] = B*b_i`` for each
-    piece start b_i, ``L``, the lcm of the denominators of alpha and of each
-    piece's intercept a_i and slope s_i, and ``pieces[i] = (L*a_i, L*s_i)``.
+    Construction derives the shared integer form over the breakpoints with
+    alpha in ``L`` (see ``PiecewiseLinear``); ``lifted(u, v)`` is the lift
+    u*phi(v/u) for 0 <= v <= u.
     """
 
     breakpoints: tuple[Fraction, ...]
@@ -121,31 +120,11 @@ class Spectrum:
                 raise ParameterError(
                     f"value {v} outside [0, {self.alpha}]"
                 )
-        ps = [(y - s * x, s) for x, y, s in zip(bps, vals, slopes(bps, vals))]
-        B = math.lcm(*(b.denominator for b in bps))
-        L = math.lcm(self.alpha.denominator, *(x.denominator for p in ps for x in p))
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "starts", tuple(scaled(b, B) for b in bps[:-1]))
-        object.__setattr__(self, "L", L)
-        object.__setattr__(self, "pieces", tuple((scaled(a, L), scaled(s, L)) for a, s in ps))
-
-    def piece(self, p: int, q: int) -> int:
-        """Index of the piece holding p/q in [0, 1]: the last start <= floor(B*p/q)."""
-        return bisect_right(self.starts, self.B * p // q) - 1
-
-    def lifted(self, u, v) -> Fraction:
-        """The lift u*phi(v/u) = (a*u + s*v)/L at rational 0 <= v <= u; 0 at u = 0."""
-        un, ud, vn, vd = u.numerator, u.denominator, v.numerator, v.denominator
-        a, s = self.pieces[self.piece(vn * ud, vd * un) if un else 0]
-        return Fraction(a * un * vd + s * vn * ud, self.L * ud * vd)
+        self._derive_form(bps, vals, self.alpha)
 
     def eval_exact(self, theta: Fraction) -> Fraction:
         """Exact value at a Fraction; the nearest end value outside [0, 1]."""
         return self.lifted(1, min(max(theta, 0), 1))
-
-    def piece_slopes(self) -> tuple[Fraction, ...]:
-        """Exact slope of each affine piece, left to right."""
-        return tuple(Fraction(s, self.L) for _, s in self.pieces)
 
 
 @dataclass(frozen=True)

@@ -54,6 +54,7 @@ def test_package_exports_only_layer_names_errors_and_submodules():
     ("branch", "StripEnvelopeBranch"), ("branch", "InfBranch"),
     ("branch", "max_lipschitz_minorant"),
     ("spectra", "spectrum_to_csv"),
+    ("_num", "interpolate"), ("_num", "slopes"),
 ])
 def test_removed_names_are_gone(layer, name):
     assert not hasattr(importlib.import_module(f"branchdim.{layer}"), name)

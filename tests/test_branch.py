@@ -27,6 +27,7 @@ from branchdim.spectra import (
     make_q,
     spectrum_from_breakpoints,
 )
+from test_num import oracle_profile_at
 
 
 def brute_force_minorant(values, alpha_delta):
@@ -345,6 +346,19 @@ class TestEtaBound:
         EtaBound.const(0, threshold=0).validate(10)
         with pytest.raises(ParameterError, match="sublinearity threshold 0"):
             EtaBound.const(1, threshold=0).validate(10)
+
+    def test_profile_on_thirds(self):
+        ks = (F(1, 3), F(4, 3), F(7, 3), F(13, 3))
+        vs = (F(1, 3), F(1, 3), F(5, 3), F(2))
+        eta = EtaBound(profile=LipschitzProfile(ks, vs, F(4, 3)), threshold=F(1, 2))
+        for u in (0, F(1, 6), F(1, 3), 1, F(11, 6), F(7, 3), 3, F(13, 3), 6):
+            assert eta.at(u) == oracle_profile_at(ks, vs, u)
+        assert eta.at(F(10, 3)) == F(11, 6)
+        eta.validate(F(13, 3))  # 2 / (13/3) = 6/13
+        eta.validate(6)  # clamped: 2 / 6
+        with pytest.raises(ParameterError,
+                           match=r"eta\(10/3\) / 10/3 exceeds the sublinearity threshold 1/2"):
+            eta.validate(F(10, 3))  # (11/6) / (10/3) = 11/20
 
 
 # ---------------------------------------------------------------------------

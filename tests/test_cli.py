@@ -133,6 +133,24 @@ class TestMakeSet:
         assert text.startswith("# d=1\n# depth=8\n")
         assert "level,left_numerator,width" in text
 
+    def test_moran_depth_zero_is_one_run(self, tmp_path):
+        code, out = run(tmp_path, "command=make-set\nkind=moran\ndepth=0\n")
+        assert code == 0
+        assert (out / "set.csv").read_text() == (
+            "# d=1\n# depth=0\n# scheme=lex\nlevel,left_numerator,width\n0,0,1\n")
+
+    @pytest.mark.parametrize("command", ["make-set", "measure"])
+    def test_moran_negative_depth(self, tmp_path, capsys, command):
+        code, out = run(tmp_path, f"command={command}\nkind=moran\ndepth=-1\n")
+        assert code == 2
+        assert capsys.readouterr().err == "error: depth must be non-negative\n"
+        assert not out.exists()
+
+    def test_moran_measure_depth_zero_has_no_window(self, tmp_path, capsys):
+        code, _ = run(tmp_path, "command=measure\nkind=moran\ndepth=0\n")
+        assert code == 2
+        assert capsys.readouterr().err == "error: window (1, 0) not within (0, 0]\n"
+
     def test_assembly_csv(self, tmp_path):
         code, out = run(tmp_path, "command=make-set\nkind=assembly\n"
                                   "family=zero\ndepth=10\nkmax=4\n")

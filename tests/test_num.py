@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from branchdim._num import interpolate, lipschitz_minorant, merge_ranges, scaled, slopes
+from branchdim._num import lipschitz_minorant, merge_ranges, scaled
 from branchdim.branch import LipschitzProfile
 from branchdim.counting import (
     IntervalSet,
@@ -33,7 +33,9 @@ from branchdim.sets import (
     build_assembly,
     build_moran,
     enumerate_components,
+    geometric_schedule,
     profile_from_lipschitz,
+    realize_uniform_profile,
     _floors,
 )
 from branchdim.spectra import (
@@ -169,7 +171,7 @@ def oracle_profile_from_lipschitz(f, d, depth):
     """sets.profile_from_lipschitz's old loops."""
     h = [0]
     for k in range(1, depth + 1):
-        h.append(min(math.floor(f.at(k)), h[-1] + d))
+        h.append(min(math.floor(oracle_profile_at(f.knots, f.values, k)), h[-1] + d))
     for k in range(depth - 1, -1, -1):
         h[k] = min(h[k], h[k + 1])
     return tuple(h[k] - h[k - 1] for k in range(1, depth + 1))
@@ -309,13 +311,21 @@ class TestInterpolation:
             assert profile.at(x) == oracle_profile_at(profile.knots, profile.values, x)
 
     @settings(max_examples=80, deadline=None)
-    @given(st.lists(st.integers(-30, 30), min_size=1, max_size=6, unique=True),
-           st.lists(st.integers(-20, 20), min_size=6, max_size=6),
+    @given(st.integers(-30, 30), st.integers(0, 20),
+           st.lists(st.tuples(st.integers(1, 9), st.integers(0, 20)), max_size=5),
            st.integers(-200, 200))
-    def test_random_profiles(self, knots, heights, x):
-        ks = tuple(F(k, 3) for k in sorted(knots))
-        vs = tuple(F(h, 5) for h in heights[:len(ks)])
-        assert interpolate(ks, vs, F(x, 7)) == oracle_profile_at(ks, vs, F(x, 7))
+    def test_random_profiles(self, first, start, pieces, x):
+        # Fractional knots, a first knot below, at or above 0, a single knot
+        # when there are no pieces, and probes on both sides of the knots.
+        ks, vs = [F(first, 3)], [F(start, 5) if first else F(0)]
+        for width, rise in pieces:
+            ks.append(ks[-1] + F(width, 3))
+            vs.append(vs[-1] + F(rise, 5))
+        profile = LipschitzProfile(tuple(ks), tuple(vs), F(37, 3))
+        for probe in [F(x, 7)] + probe_points(profile.knots):
+            got = profile.at(probe)
+            assert got == oracle_profile_at(ks, vs, probe)
+            assert type(got) is F
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +371,9 @@ class TestSlopes:
             assert expected is None
 
     def test_slopes_exact_on_ints(self):
-        assert slopes((0, 3, 10), (0, 1, 2)) == [F(1, 3), F(1, 7)]
+        profile = LipschitzProfile((0, 3, 10), (0, 1, 2), 1)
+        assert profile.piece_slopes() == (F(1, 3), F(1, 7))
+        assert profile.max_slope() == F(1, 3)
 
     @pytest.mark.parametrize("members", [
         SPECTRA[:1] + [make_psi(1, F(1, 3), F(1, 5))],
@@ -446,8 +458,19 @@ class TestMinorant:
             knots.append(knots[-1] + F(width, den))
             values.append(values[-1] + slope * F(width, den))
         profile = LipschitzProfile(tuple(knots), tuple(values), F(2))
-        assert _floors(profile, depth) == [math.floor(profile.at(k))
+        assert _floors(profile, depth) == [math.floor(oracle_profile_at(knots, values, k))
                                            for k in range(depth + 1)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from((F(1), F(3, 4), F(1, 2))), st.integers(2, 30),
+           st.integers(1, 31), st.integers(0, 30))
+    def test_realized_psi_profiles(self, alpha, lam, t, depth):
+        # The realization path: psi targets over the schedule 3, 6, 12, 24.
+        lam = F(lam, 32)
+        spec = make_psi(alpha, lam, alpha * (1 - lam) * F(t, 32))
+        f = realize_uniform_profile(spec, geometric_schedule(2, 24, 3), cert_grid=2)
+        assert profile_from_lipschitz(f, 1, depth).a == \
+            oracle_profile_from_lipschitz(f, 1, depth)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from branchdim._num import interpolate
 from branchdim.branch import LiftBranch, LipschitzProfile, lift
 from branchdim.errors import DomainError, FormatError, ParameterError
 from branchdim.sets import (
@@ -34,7 +33,7 @@ from branchdim.spectra import (
     spectrum_from_text,
     spectrum_to_text,
 )
-from test_num import oracle_eval_exact
+from test_num import oracle_eval_exact, oracle_profile_at
 
 MINI_LAMBDAS = (F(15, 100), F(4, 10), F(65, 100))
 
@@ -628,7 +627,7 @@ def assert_form_matches(spec, u_max=F(29, 3)):
     for x in inside + outside:
         got = spec.eval_exact(x)
         assert type(got) is F
-        assert got == interpolate(spec.breakpoints, spec.values, x)
+        assert got == oracle_profile_at(spec.breakpoints, spec.values, x)
     branch = LiftBranch(spec, u_max, False)
     for u in (F(1, 3), F(1), F(5, 2), 7, u_max):
         for v in lift_probes(spec, u):
