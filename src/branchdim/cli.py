@@ -28,6 +28,7 @@ from fractions import Fraction
 
 from .branch import EtaBound
 from .counting import (
+    _resolve_window,
     check_uniformity,
     estimate_assouad_spectrum,
     estimate_lower_spectrum,
@@ -130,10 +131,11 @@ def _theta_grid(cfg: dict) -> list[Fraction]:
     return grid
 
 
-def _window(cfg: dict, u_max: int):
+def _window(cfg: dict, u_max: int) -> tuple[int, int]:
+    """The estimators' u window: the configured one, else their default."""
     raw = cfg.get("window")
     if raw is None:
-        return None
+        return _resolve_window(None, u_max)
     sep = ".." if ".." in raw else ","
     parts = [p.strip() for p in raw.split(sep)]
     if len(parts) != 2:
@@ -241,11 +243,13 @@ def run_measure(cfg: dict, out_dir: str) -> int:
     if tables not in ("lb", "both"):
         raise FormatError(f"tables must be lb or both, got {tables!r}")
     built, depth = _build_set(cfg)
-    iset = enumerate_components(built, depth)
     u_max = _int(cfg, "u-max", depth)
     rule = cfg.get("candidate-rule", "dense")
     window = _window(cfg, u_max)
     thetas = _theta_grid(cfg)
+    eta = (EtaBound.const(_fraction(cfg, "eta"))
+           if tables == "both" and "eta" in cfg else None)
+    iset = enumerate_components(built, depth)
 
     lb = lb_table(iset, u_max, candidate_rule=rule)
     _write(out_dir, "lb.csv", table_to_csv(lb))
@@ -258,8 +262,8 @@ def run_measure(cfg: dict, out_dir: str) -> int:
         _write(out_dir, "ub.csv", table_to_csv(ub))
         assouad = estimate_assouad_spectrum(ub, thetas, window)
         _write(out_dir, "assouad.csv", estimate_to_csv(assouad))
-        if "eta" in cfg:
-            report = check_uniformity(lb, ub, EtaBound.const(_fraction(cfg, "eta")))
+        if eta is not None:
+            report = check_uniformity(lb, ub, eta)
             _write(out_dir, "uniformity.csv", uniformity_report_to_csv(report))
             print(f"uniformity: {'pass' if report.passed else 'FAIL'}")
     print(f"measured {len(lb.grid())} cells to u_max={u_max}")

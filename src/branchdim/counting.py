@@ -519,10 +519,12 @@ class SpectrumEstimate:
 def _resolve_window(window, u_max: int) -> tuple[int, int]:
     if window is None:
         window = (max(1, u_max // 2), u_max)
-    lo, hi = int(window[0]), int(window[1])
+    lo, hi = as_fraction(window[0]), as_fraction(window[1])
+    if lo.denominator != 1 or hi.denominator != 1:
+        raise ParameterError(f"window ({window[0]}, {window[1]}) has a non-integral bound")
     if not (0 < lo <= hi <= u_max):
         raise ParameterError(f"window {window} not within (0, {u_max}]")
-    return lo, hi
+    return int(lo), int(hi)
 
 
 def _lower_level(theta: Fraction, u: int) -> int:

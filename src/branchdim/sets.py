@@ -13,8 +13,9 @@ Three constructions are provided:
   profile whose Moran set measures back that spectrum, by alternating
   spectrum-shaped segments with full-speed segments along a schedule.
 * ``build_assembly`` glues scaled Moran pieces along a geometric sequence
-  of scales accumulating at the origin; this realizes spectra that are
-  not achievable by uniform sets alone.
+  of scales accumulating at the origin, component k realizing column k of
+  the spectrum's lift; this realizes spectra that are not achievable by
+  uniform sets alone.
 
 ``enumerate_components`` flattens any construction into the sorted
 interval form consumed by the counting module.
@@ -26,11 +27,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .branch import LipschitzProfile
+from .branch import LipschitzProfile, lift
 from .counting import IntervalSet
 from .errors import ParameterError
-from .spectra import Spectrum, _chain_holds, check_inequality
-from ._num import Rational, as_fraction, lipschitz_minorant, merge_ranges
+from .spectra import Spectrum, check_inequality
+from ._num import Rational, as_fraction, lipschitz_minorant, merge_ranges, scaled
 
 __all__ = [
     "SubdivisionProfile",
@@ -155,8 +156,13 @@ def profile_from_lipschitz(f: LipschitzProfile, d: int, depth: int) -> Subdivisi
         raise ParameterError("depth must be non-negative")
     if f.at(0) != 0:
         raise ParameterError(f"profile source must vanish at 0, got {f.at(0)}")
-    h = lipschitz_minorant(_floors(f, depth), d)
-    return SubdivisionProfile(d, tuple(h[k] - h[k - 1] for k in range(1, depth + 1)))
+    return _profile_below(_floors(f, depth), d)
+
+
+def _profile_below(floors: list[int], d: int) -> SubdivisionProfile:
+    """The steps of ``lipschitz_minorant(floors, d)``, one per level."""
+    h = lipschitz_minorant(floors, d)
+    return SubdivisionProfile(d, tuple(b - a for a, b in zip(h, h[1:])))
 
 
 def _floors(f: LipschitzProfile, depth: int) -> list[int]:
@@ -273,16 +279,17 @@ def build_assembly(spec: Spectrum, d: int = 1, k_max: int = 8,
                    depth: int = 16, cert_grid: int = 64) -> Assembly:
     """Assemble scaled Moran pieces along a geometric sequence of scales.
 
-    For each k in 1..k_max the strip spectrum ``f_k(u) = u * phi(k/u)``
-    (zero below u = k) drives a Moran set built at local depth
-    ``depth - k``, scaled to side ``2^-k`` and translated to
-    ``[4*2^-k, 5*2^-k]``.  The origin joins as the accumulation point of
-    the sequence.  ``certified`` is one scan of the paper's chain (S and
-    W).  Each strip profile must vanish at 0 and be non-decreasing and
-    alpha-Lipschitz, which S and W guarantee; a spectrum outside the class
-    builds, uncertified, only when its strips for k <= k_max happen to do
-    so, and otherwise raises ``ParameterError`` from the strip profile
-    (e.g. "profile must vanish at 0" when phi(1) != 0).
+    Component k in 1..k_max realizes column k of the lift
+    ``f(u, v) = u * phi(v/u)`` below scale ``2^-k``: a Moran set at local
+    depth ``depth - k`` with ``2^(h_j - h_0)`` cubes at level j, for h the
+    largest non-decreasing 1-Lipschitz integer sequence below
+    ``floor(f(k + j, k))``, j = 0..depth-k.  It is scaled to side
+    ``2^-k`` and translated to ``[4*2^-k, 5*2^-k]``; the origin joins as
+    the accumulation point of the sequence.  ``certified`` is
+    ``lift(spec, depth, cert_grid).certified``, one scan of the paper's
+    chain (S and W).  The minorant of any column is a valid profile, so
+    every spectrum with alpha <= d builds; one outside the class builds
+    with ``certified=False``.
     """
     if d != 1:
         raise ParameterError("assemblies are one-dimensional in this toolkit")
@@ -292,13 +299,10 @@ def build_assembly(spec: Spectrum, d: int = 1, k_max: int = 8,
         raise ParameterError("k_max must be at least 1")
     if depth < k_max:
         raise ParameterError("depth must be at least k_max")
-    certified = _chain_holds(spec, cert_grid)
     components = []
     for k in range(1, k_max + 1):
-        local_depth = depth - k
-        strip = _strip_profile(spec, k, local_depth)
-        profile = profile_from_lipschitz(strip, 1, local_depth)
-        dset = build_moran(profile, local_depth)
+        column = [math.floor(spec.lifted(u, k)) for u in range(k, depth + 1)]
+        dset = build_moran(_profile_below(column, 1), depth - k)
         components.append(
             AssemblyComponent(k=k, translation=Fraction(4, 2 ** k), dset=dset)
         )
@@ -307,26 +311,8 @@ def build_assembly(spec: Spectrum, d: int = 1, k_max: int = 8,
         components=tuple(components),
         k_max=k_max,
         depth=depth,
-        certified=certified,
+        certified=lift(spec, depth, cert_grid).certified,
     )
-
-
-def _strip_profile(spec: Spectrum, k: int, local_depth: int) -> LipschitzProfile:
-    """The strip function u -> (k+u) * phi(k / (k+u)) in local coordinates.
-
-    Piecewise-linear in u with knots where k/(k+u) crosses a spectrum
-    breakpoint; increasing and alpha-Lipschitz whenever the spectrum
-    satisfies (S) and (W).
-    """
-    if local_depth == 0:
-        return LipschitzProfile((Fraction(0),), (Fraction(0),), spec.alpha)
-    knots = {Fraction(0), Fraction(local_depth)}
-    for b in spec.breakpoints[1:]:  # b sits at global scale k/b, local k/b - k
-        if 0 < (u := Fraction(k) / b - k) < local_depth:
-            knots.add(u)
-    ordered = sorted(knots)
-    values = tuple(spec.lifted(k + u, k) for u in ordered)
-    return LipschitzProfile(tuple(ordered), values, spec.alpha)
 
 
 def enumerate_components(obj, resolution: int) -> IntervalSet:
@@ -346,9 +332,12 @@ def enumerate_components(obj, resolution: int) -> IntervalSet:
     if isinstance(obj, DyadicSet):
         ranges, parts = [], [(0, obj)]
     elif isinstance(obj, Assembly):
-        # component k's runs start at offset 4/2^k = (4 << (depth-k)) / 2^depth
+        # each component's runs start at its translation, in units of 2^-depth
+        unit = 1 << obj.depth
+        if any(unit % c.translation.denominator for c in obj.components):
+            raise ParameterError(f"component translations must be multiples of 2^-{obj.depth}")
         ranges = [(0, 0)]  # the origin
-        parts = [(4 << (obj.depth - c.k), c.dset) for c in obj.components]
+        parts = [(scaled(c.translation, unit), c.dset) for c in obj.components]
     else:
         raise ParameterError(f"cannot enumerate {type(obj).__name__}")
     if resolution < 0:

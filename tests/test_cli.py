@@ -147,9 +147,19 @@ class TestMakeSet:
         assert not out.exists()
 
     def test_moran_measure_depth_zero_has_no_window(self, tmp_path, capsys):
-        code, _ = run(tmp_path, "command=measure\nkind=moran\ndepth=0\n")
+        code, out = run(tmp_path, "command=measure\nkind=moran\ndepth=0\n")
         assert code == 2
         assert capsys.readouterr().err == "error: window (1, 0) not within (0, 0]\n"
+        assert list(out.glob("*")) == []
+
+    @pytest.mark.parametrize("eta, message", [
+        ("abc", "bad value for 'eta': 'abc'"), ("-1", "eta must be non-negative")])
+    def test_measure_bad_eta_writes_nothing(self, tmp_path, capsys, eta, message):
+        code, out = run(tmp_path, "command=measure\nkind=moran\ndepth=6\n"
+                                  f"tables=both\neta={eta}\n")
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(out.glob("*")) == []
 
     def test_assembly_csv(self, tmp_path):
         code, out = run(tmp_path, "command=make-set\nkind=assembly\n"

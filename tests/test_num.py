@@ -604,3 +604,11 @@ class TestEstimators:
             estimate_assouad_spectrum(UB, [F(1, 2)], window=(0, 4))
         with pytest.raises(ParameterError, match="window"):
             lower_cells(10, [F(1, 2)], window=(4, 11))
+        with pytest.raises(ParameterError,
+                           match=r"^window \(3/2, 9/2\) has a non-integral bound$"):
+            estimate_lower_spectrum(LB, [F(1, 2)], window=(F(3, 2), F(9, 2)))
+        with pytest.raises(ParameterError,
+                           match=r"^window \(2.7, 4.2\) has a non-integral bound$"):
+            lower_cells(8, [F(1, 2)], window=(2.7, 4.2))
+        assert estimate_lower_spectrum(LB, [F(1, 2)], window=(3.0, F(9))).window == (3, 9)
+        assert lower_cells(8, [F(1, 2)], window=(F(2), 4.0)) == lower_cells(8, [F(1, 2)], (2, 4))

@@ -1,5 +1,6 @@
 """Unit tests for Moran sets, profile realization, and assemblies."""
 
+import dataclasses
 import math
 from fractions import Fraction as F
 
@@ -516,6 +517,22 @@ class TestIntegerEnumerationMatchesFractions:
             for res in range(depth + 1):
                 assert canonical(enumerate_components(asm, res)) == \
                     canonical(fraction_enumeration(asm, res))
+
+    def test_offsets_read_the_translations(self):
+        asm = build_assembly(make_phi(1, F(1, 2), F(1, 4)), k_max=4, depth=10)
+        moved = dataclasses.replace(asm, components=tuple(
+            dataclasses.replace(c, translation=F(3, 2 ** c.k) + F(c.k, 2 ** 10))
+            for c in asm.components))
+        for res in range(11):
+            assert canonical(enumerate_components(moved, res)) == \
+                canonical(fraction_enumeration(moved, res))
+        assert canonical(enumerate_components(moved, 10)) != \
+            canonical(enumerate_components(asm, 10))
+        off_grid = dataclasses.replace(moved, components=(
+            dataclasses.replace(moved.components[0], translation=F(1, 3)),))
+        with pytest.raises(ParameterError,
+                           match=r"^component translations must be multiples of 2\^-10$"):
+            enumerate_components(off_grid, 10)
 
 
 class TestSerialization:

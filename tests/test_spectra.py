@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import re
 from fractions import Fraction as F
 from itertools import product
 
@@ -13,9 +12,15 @@ from hypothesis import strategies as st
 from branchdim.branch import LiftBranch, LipschitzProfile, lift
 from branchdim.errors import DomainError, FormatError, ParameterError
 from branchdim.sets import (
-    _strip_profile,
+    Assembly,
+    AssemblyComponent,
+    SubdivisionProfile,
+    _profile_below,
+    assembly_to_csv,
     build_assembly,
+    build_moran,
     geometric_schedule,
+    profile_from_lipschitz,
     realize_uniform_profile,
 )
 from branchdim.spectra import (
@@ -483,12 +488,7 @@ def assert_certified_as_two_calls(spec, grid):
     assert lift(spec, 4, grid).certified == expected
     if spec.alpha > 1:  # assemblies are one-dimensional
         return
-    try:
-        asm = build_assembly(spec, k_max=1, depth=2, cert_grid=grid)
-    except ParameterError:  # some spectra outside the class build no set
-        assert not expected
-    else:
-        assert asm.certified == expected
+    assert build_assembly(spec, k_max=1, depth=2, cert_grid=grid).certified == expected
 
 
 class TestCertificationIsOneChainScan:
@@ -505,22 +505,83 @@ class TestCertificationIsOneChainScan:
             assert_certified_as_two_calls(spec, grid)
 
 
-class TestOutOfClassAssembly:
-    """Outside the class an assembly builds uncertified or raises."""
+KINKED = make_phi(1, F(1, 2), F(1, 4))
+THREE_LOBED = min_family([make_phi(1, lam, (1 - lam) ** 4)
+                          for lam in (F(3, 20), F(2, 5), F(13, 20))])
+NON_MONOTONE = make_q(1, F(1, 2), F(2, 3), F(1, 4))
+FRACTIONS = st.fractions(0, 1, max_denominator=24)
 
-    def test_steep_middle_raises(self):
+
+@st.composite
+def family_spectra(draw):
+    """phi, psi, q and min_family members with alpha = 1 (all in the class)."""
+    kind = draw(st.sampled_from(["phi", "psi", "q", "min"]))
+    if kind == "q":
+        a1, a2 = sorted(draw(st.lists(FRACTIONS.filter(bool), min_size=2, max_size=2)))
+        return make_q(1, a1, a2, draw(FRACTIONS))
+    lams = draw(st.lists(FRACTIONS.filter(bool), min_size=1, max_size=3, unique=True))
+    if kind == "min":
+        return min_family([make_phi(1, lam, (1 - lam) ** 4) for lam in lams])
+    maker = make_phi if kind == "phi" else make_psi
+    return maker(1, lams[0], (1 - lams[0]) * draw(FRACTIONS))
+
+
+class TestAssemblyMatchesStripPath:
+    """Assemblies from the lift's columns equal the old strip path's, set for set."""
+
+    @pytest.mark.parametrize("spec, k_max, depth", [
+        (zero_spectrum(), 6, 12),  # the verify example config
+        (KINKED, 6, 12),  # the make-set assembly whose CSV bytes are pinned
+        (KINKED, 16, 22),  # requirement 3's targets
+        (THREE_LOBED, 16, 22),
+        (NON_MONOTONE, 16, 22),
+    ], ids=["verify-zero", "make-set-phi", "kinked", "three-lobed", "non-monotone"])
+    def test_examples_and_requirement_3(self, spec, k_max, depth):
+        assert assert_assembly_matches_strip_path(spec, k_max, depth)
+
+    @pytest.mark.parametrize("name", sorted(n for n, s in ORACLE_SPECTRA.items()
+                                            if s.alpha <= 1))
+    def test_oracle_spectra(self, name):
+        spec = ORACLE_SPECTRA[name]
+        for k_max, depth in ((1, 1), (1, 2), (4, 10), (8, 16)):
+            built = assert_assembly_matches_strip_path(spec, k_max, depth)
+            assert built or not lift(spec, depth).certified
+
+    @settings(max_examples=60, deadline=None)
+    @given(family_spectra(), st.integers(1, 10), st.integers(0, 10))
+    def test_family_spectra(self, spec, k_max, extra):
+        assert assert_assembly_matches_strip_path(spec, k_max, k_max + extra)
+
+    @settings(max_examples=60, deadline=None)
+    @given(*SWEEP, st.integers(1, 8), st.integers(0, 8))
+    def test_swept_spectra(self, knots, heights, alpha, k_max, extra):
+        spec = swept_spectrum(knots, heights, alpha)
+        if alpha > 1:
+            with pytest.raises(ParameterError, match="alpha exceeds ambient dimension"):
+                build_assembly(spec, k_max=k_max, depth=k_max + extra)
+            return
+        built = assert_assembly_matches_strip_path(spec, k_max, k_max + extra)
+        assert built or not lift(spec, k_max + extra).certified
+
+
+class TestOutOfClassAssembly:
+    """Outside the class an assembly builds uncertified, from the lift's columns."""
+
+    def test_steep_middle_builds_uncertified(self):
         spec = ORACLE_SPECTRA["steep-middle"]
         assert check_inequality(spec, "S", 64).passed
         assert not check_inequality(spec, "W", 64).passed
-        with pytest.raises(ParameterError,
+        with pytest.raises(ParameterError,  # the strip path built no set
                            match=r"^profile slope exceeds alpha=1 on \[7/9, 1\]$"):
-            build_assembly(spec, k_max=1, depth=2)
+            oracle_assembly(spec, 1, 2)
+        assert_columns_realized(build_assembly(spec, k_max=1, depth=2), certified=False)
 
-    def test_swept_nonzero_at_one_raises(self):
+    def test_swept_nonzero_at_one_builds_uncertified(self):
         spec = swept_spectrum([19, 3], [4, 1, 7, 12, 7, 7], 1)
         assert spec.values[-1] == 1
         with pytest.raises(ParameterError, match="^profile must vanish at 0$"):
-            build_assembly(spec, k_max=1, depth=2)
+            oracle_assembly(spec, 1, 2)
+        assert_columns_realized(build_assembly(spec, k_max=1, depth=2), certified=False)
 
     def test_swept_builds_uncertified(self):
         spec = swept_spectrum([6, 10], [6, 8, 2, 0, 11, 10], 1)
@@ -592,6 +653,61 @@ def oracle_strip(spec, k, local_depth):
                                  for u in ordered)
 
 
+def oracle_assembly(spec, k_max, depth):
+    """build_assembly's old strip path; raises where a strip is no profile.
+
+    Component k realizes the strip u -> (k+u)*phi(k/(k+u)) of
+    ``oracle_strip`` through ``LipschitzProfile`` and
+    ``profile_from_lipschitz``; certification is S and W as two checks.
+    """
+    components = []
+    for k in range(1, k_max + 1):
+        local = depth - k
+        strip = LipschitzProfile(*oracle_strip(spec, k, local), spec.alpha)
+        dset = build_moran(profile_from_lipschitz(strip, 1, local), local)
+        components.append(AssemblyComponent(k, F(4, 2 ** k), dset))
+    certified = (check_inequality(spec, "S", 64).passed
+                 and check_inequality(spec, "W", 64).passed)
+    return Assembly(spec, tuple(components), k_max, depth, certified)
+
+
+def oracle_column_profile(spec, k, depth):
+    """Steps of the largest non-decreasing 1-Lipschitz integer sequence below
+    floor(u*phi(k/u)), u = k..depth, by the two minorant loops."""
+    h = [math.floor(u * oracle_eval_exact(spec, F(k, u))) for u in range(k, depth + 1)]
+    for j in range(1, len(h)):
+        h[j] = min(h[j], h[j - 1] + 1)
+    for j in range(len(h) - 2, -1, -1):
+        h[j] = min(h[j], h[j + 1])
+    return SubdivisionProfile(1, tuple(b - a for a, b in zip(h, h[1:])))
+
+
+def assert_columns_realized(asm, certified):
+    """Each component realizes its column of the lift; certification as given."""
+    assert asm.certified is certified
+    assert [c.k for c in asm.components] == list(range(1, asm.k_max + 1))
+    for c in asm.components:
+        assert c.translation == F(4, 2 ** c.k)
+        want = build_moran(oracle_column_profile(asm.spectrum, c.k, asm.depth),
+                           asm.depth - c.k)
+        assert (c.dset.depth, c.dset.runs) == (want.depth, want.runs)
+
+
+def assert_assembly_matches_strip_path(spec, k_max, depth):
+    """The column path against the strip path; returns whether the latter built."""
+    got = build_assembly(spec, k_max=k_max, depth=depth)
+    try:
+        want = oracle_assembly(spec, k_max, depth)
+    except ParameterError:  # outside the class: the column path still builds
+        assert_columns_realized(got, certified=False)
+        return False
+    assert assembly_to_csv(got) == assembly_to_csv(want)
+    assert got.certified == want.certified
+    assert [c.dset.runs for c in got.components] == \
+        [c.dset.runs for c in want.components]
+    return True
+
+
 def oracle_realize(spec, pts, d=1):
     """realize_uniform_profile's old knots and Fraction values."""
     knots, values = [F(0)], [F(0)]
@@ -660,17 +776,23 @@ class TestIntegerFormMatchesFractionFormulas:
 
     @pytest.mark.parametrize("spec", FORM_SPECTRA)
     def test_strip_profiles(self, spec):
+        # The profile of the lift's column k equals the old strip's, alpha > 1
+        # included; where the strip is no profile the column's still is.
         for k, local_depth in ((1, 0), (1, 5), (2, 7), (3, 13), (5, 11)):
-            knots, values = oracle_strip(spec, k, local_depth)
+            depth = k + local_depth
+            got = _profile_below([math.floor(spec.lifted(u, k))
+                                  for u in range(k, depth + 1)], 1)
+            assert got == oracle_column_profile(spec, k, depth)
             try:
-                want = LipschitzProfile(knots, values, spec.alpha)
-            except ParameterError as exc:
-                with pytest.raises(ParameterError, match=re.escape(str(exc))):
-                    _strip_profile(spec, k, local_depth)
-                continue
-            got = _strip_profile(spec, k, local_depth)
-            assert (got.knots, got.values) == (want.knots, want.values)
-            assert all(type(x) is F for x in got.values)
+                strip = LipschitzProfile(*oracle_strip(spec, k, local_depth), spec.alpha)
+                want = profile_from_lipschitz(strip, 1, local_depth)
+            except ParameterError:  # no strip profile, only outside the class
+                assert not lift(spec, depth).certified
+            else:
+                assert got == want
+            if spec.alpha <= 1:
+                last = build_assembly(spec, k_max=k, depth=depth).components[-1]
+                assert last.dset.runs == build_moran(got, local_depth).runs
 
     @pytest.mark.parametrize("spec", [
         s for s in FORM_SPECTRA  # realization needs L and S
